@@ -3,7 +3,9 @@
 Every value in the compute graph is a Tensor. Leaves created with
 ``requires_grad=True`` act as trainable parameters: repeated backward passes
 accumulate into ``.grad``, which is how per-sample gradients sum over a batch.
-All arithmetic is float64 end to end.
+A result that needs no gradient keeps no parents and no backward closure, so
+a forward pass over constants builds no graph and frees each intermediate as
+soon as it is dead. All arithmetic is float64 end to end.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 Array = np.ndarray
 
@@ -28,8 +31,8 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self._parents = parents
-        self._backward = backward
+        self._parents = parents if self.requires_grad else ()
+        self._backward = backward if self.requires_grad else None
 
     @property
     def shape(self):
@@ -98,7 +101,9 @@ def _reduce_to(g: Array, shape: tuple) -> Array:
     """Sum a broadcast gradient back down to the operand's shape."""
     if g.shape == shape:
         return g
-    return np.sum(g).reshape(shape) if shape == () else np.sum(g, axis=0).reshape(shape)
+    lead = g.ndim - len(shape)
+    stretched = tuple(lead + i for i, n in enumerate(shape) if n == 1 and g.shape[lead + i] != 1)
+    return np.sum(g, axis=tuple(range(lead)) + stretched).reshape(shape)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -214,6 +219,9 @@ def add_channel_bias(a: Tensor, v: Tensor) -> Tensor:
 _K = 3  # conv kernel edge
 _S = 2  # conv stride
 _P = 1  # conv zero padding
+# im2col columns per block on the forward-only path: small enough for the
+# GEMM to read them from cache, large enough to amortise the per-block calls
+_BLOCK_BYTES = 256 * 1024
 
 
 def _conv_out_dim(d: int) -> int:
@@ -225,31 +233,52 @@ def conv3d_down(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     x: (Cin, D, H, W); w: (Cout, Cin, 3, 3, 3); b: (Cout,).
     Output (Cout, ceil(D/2), ceil(H/2), ceil(W/2)).
+
+    im2col one block of output planes at a time: the input planes a block
+    reads are copied into a zero-padded slab, the 27 taps are gathered from
+    the slab into the block's columns, and one GEMM per block writes the
+    output. When x, w or b needs a gradient the whole output is one block and
+    its columns are kept for backward. Otherwise a block holds about
+    _BLOCK_BYTES of columns, so the GEMM reads them while they are in cache,
+    and the slab and column buffers are reused from block to block.
     """
     cin, d, h, wd = x.data.shape
     cout = w.data.shape[0]
     do, ho, wo = _conv_out_dim(d), _conv_out_dim(h), _conv_out_dim(wd)
-    xp = np.pad(x.data, ((0, 0), (_P, _P), (_P, _P), (_P, _P)))
+    plane = ho * wo
+    needs_grad = x.requires_grad or w.requires_grad or b.requires_grad
+    nb = do if needs_grad else min(do, max(1, _BLOCK_BYTES // (cin * 27 * plane * 8)))
 
-    cols = np.empty((cin, _K * _K * _K, do, ho, wo), dtype=np.float64)
-    i = 0
-    for kd in range(_K):
-        for kh in range(_K):
-            for kw in range(_K):
-                cols[:, i] = xp[:, kd : kd + _S * do : _S, kh : kh + _S * ho : _S, kw : kw + _S * wo : _S]
-                i += 1
-    cols2d = cols.reshape(cin * 27, do * ho * wo)
+    slab = np.zeros((cin, _S * nb + 1, h + 2 * _P, wd + 2 * _P))
+    taps = sliding_window_view(slab, (_K, _K, _K), axis=(1, 2, 3))[:, ::_S, ::_S, ::_S, :, :, :]
+    taps = taps[:, :nb, :ho, :wo].transpose(0, 4, 5, 6, 1, 2, 3)  # (cin, kd, kh, kw, nb, ho, wo)
+    col_buf = np.empty(cin * 27 * nb * plane)
     wmat = w.data.reshape(cout, cin * 27)
-    out = (wmat @ cols2d).reshape(cout, do, ho, wo) + b.data[:, None, None, None]
+    out = np.empty((cout, do, ho, wo))
+    out2d = out.reshape(cout, do * plane)
+    for o0 in range(0, do, nb):
+        n = min(nb, do - o0)
+        # slab plane j holds input plane z0 + j, or zeros outside the input
+        z0 = _S * o0 - _P
+        lo, hi = max(z0, 0), min(z0 + slab.shape[1], d)
+        slab[:, : lo - z0] = 0.0
+        slab[:, lo - z0 : hi - z0, _P : _P + h, _P : _P + wd] = x.data[:, lo:hi]
+        slab[:, hi - z0 :] = 0.0
+        cols = col_buf[: cin * 27 * n * plane].reshape(cin, _K, _K, _K, n, ho, wo)
+        np.copyto(cols, taps[:, :, :, :, :n])
+        cols2d = cols.reshape(cin * 27, n * plane)
+        block = out2d[:, o0 * plane : (o0 + n) * plane]
+        np.matmul(wmat, cols2d, out=block)
+        block += b.data[:, None]
 
     def back(g):
-        g2d = g.reshape(cout, do * ho * wo)
+        g2d = g.reshape(cout, do * plane)
         gw = (g2d @ cols2d.T).reshape(w.data.shape)
         gb = g2d.sum(axis=1)
         gx = None
         if x.requires_grad:
             gcols = (wmat.T @ g2d).reshape(cin, 27, do, ho, wo)
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros((cin, d + 2 * _P, h + 2 * _P, wd + 2 * _P))
             j = 0
             for kd in range(_K):
                 for kh in range(_K):

@@ -25,11 +25,17 @@ class SubjectRecord:
         if self.is_healthy and self.label is not Label.OTHER:
             raise ValueError(f"{self.subject_id}: is_healthy requires label 'other'")
 
+    def fetch_volume(self) -> Volume3D:
+        """The in-memory volume, else a fresh read of ``path`` that the record does not keep."""
+        if self.volume is not None:
+            return self.volume
+        if self.path is None:
+            raise ValueError(f"{self.subject_id}: no volume and no path to load from")
+        return read_volume(self.path)
+
     def load_volume(self) -> Volume3D:
-        if self.volume is None:
-            if self.path is None:
-                raise ValueError(f"{self.subject_id}: no volume and no path to load from")
-            self.volume = read_volume(self.path)
+        """Like fetch_volume, but a volume read from ``path`` stays on the record."""
+        self.volume = self.fetch_volume()
         return self.volume
 
 

@@ -5,15 +5,24 @@ Stage 2 freezes those and fits the age branch on healthy non-PD subjects,
 taking chronological age as the regression target. Stage 3 fine-tunes
 everything under the combined hinge + corrected-cross-entropy objective.
 All loops are single-threaded and deterministic for a fixed seed.
+
+Forward passes that need no gradient (stage 2's fixed features and
+``predict``) run on ``ModelParams.frozen()``, a constant view of the same
+arrays, so they build no autodiff graph and ``conv3d_down`` takes its
+cache-blocked path. ``predict`` streams the cohort: each subject's volume is
+read, screened and dropped in turn, so it holds about one volume of working
+memory however long the cohort is.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -109,31 +118,23 @@ class ModelParams:
     def params(self) -> list[Tensor]:
         return [t for _, t in self.named_params()]
 
+    def rebuilt(self, make: Callable[[str, Tensor], Tensor]) -> "ModelParams":
+        """The same structure with each named tensor ``t`` replaced by ``make(name, t)``."""
+        names = {id(t): name for name, t in self.named_params()}
+
+        def part(p):
+            return dataclasses.replace(
+                p, **{k: make(names[id(v)], v) for k, v in vars(p).items() if isinstance(v, Tensor)}
+            )
+
+        return ModelParams(**{f.name: part(getattr(self, f.name)) for f in dataclasses.fields(self)})
+
     def copy(self) -> "ModelParams":
-        named = {name: ad.parameter(t.data.copy()) for name, t in self.named_params()}
-        return ModelParams(
-            encoder=EncoderParams(
-                conv1_w=named["encoder.conv1_w"],
-                conv1_b=named["encoder.conv1_b"],
-                conv2_w=named["encoder.conv2_w"],
-                conv2_b=named["encoder.conv2_b"],
-            ),
-            fusion=FusionProjection(weight=named["fusion.weight"], bias=named["fusion.bias"]),
-            branch1=BranchParams(
-                conv_w=named["branch1.conv_w"],
-                conv_b=named["branch1.conv_b"],
-                head_w=named["branch1.head_w"],
-                head_b=named["branch1.head_b"],
-                name="branch1",
-            ),
-            branch2=BranchParams(
-                conv_w=named["branch2.conv_w"],
-                conv_b=named["branch2.conv_b"],
-                head_w=named["branch2.head_w"],
-                head_b=named["branch2.head_b"],
-                name="branch2",
-            ),
-        )
+        return self.rebuilt(lambda _, t: ad.parameter(t.data))
+
+    def frozen(self) -> "ModelParams":
+        """A constant view sharing these arrays: forward passes through it build no graph."""
+        return self.rebuilt(lambda _, t: ad.constant(t.data))
 
 
 @dataclass
@@ -215,21 +216,17 @@ class _Prepared:
     agg: AggregatedFeature
 
 
+def _prepare_one(rec: SubjectRecord, vol, atlas: AtlasVolume, table: RelevanceTable) -> _Prepared:
+    return _Prepared(record=rec, array=vol.data, agg=weighted_aggregate(region_average_pool(vol, atlas), table))
+
+
 def _prepare(cohort: Cohort, atlas: AtlasVolume, table: RelevanceTable) -> list[_Prepared]:
-    prepared = []
-    for rec in cohort:
-        vol = rec.load_volume()
-        pooled = region_average_pool(vol, atlas)
-        prepared.append(_Prepared(record=rec, array=vol.data, agg=weighted_aggregate(pooled, table)))
-    return prepared
+    return [_prepare_one(rec, rec.load_volume(), atlas, table) for rec in cohort]
 
 
-def _fused(prep: _Prepared, model: ModelParams, detach: bool = False) -> DenseFeature:
+def _fused(prep: _Prepared, model: ModelParams) -> DenseFeature:
     dense = encode_dense(prep.array, model.encoder)
-    fused = upsample_fuse(prep.agg, dense, model.fusion)
-    if detach:
-        return DenseFeature(node=ad.constant(fused.data))
-    return fused
+    return upsample_fuse(prep.agg, dense, model.fusion)
 
 
 def train_stage(
@@ -258,7 +255,8 @@ def train_stage(
 
     prepared = _prepare(subjects, atlas, table)
     if stage == 2:
-        fixed = [_fused(p, params, detach=True) for p in prepared]
+        frozen = params.frozen()
+        fixed = [_fused(p, frozen) for p in prepared]
 
     if stage == 1:
         trainables = [t for _, t in params.encoder.named_params() + params.fusion.named_params() + params.branch1.named_params()]
@@ -413,21 +411,27 @@ def predict(
     table: RelevanceTable,
     prior: AgingPriorParams,
 ) -> list[PredictionRecord]:
-    """Full forward path per subject: encode, pool, aggregate, fuse, both branches, correct, decide."""
+    """Full forward path per subject: encode, pool, aggregate, fuse, both branches, correct, decide.
+
+    Subjects stream one at a time: a volume read from a record's path is
+    dropped once the subject is decided, never kept on the record, and the
+    forward pass runs on a constant view of ``params``, so it builds no graph.
+    """
     if len(cohort) == 0:
         raise EmptyCohort("cannot predict on an empty cohort")
+    model = params.frozen()
     records = []
-    for prep in _prepare(cohort, atlas, table):
-        fused = _fused(prep, params, detach=True)
-        z = classify(fused, params.branch1)
-        predicted = predict_brain_age(fused, params.branch2).item()
-        delta = age_gap(predicted, prep.record.age)
+    for rec in cohort:
+        fused = _fused(_prepare_one(rec, rec.fetch_volume(), atlas, table), model)
+        z = classify(fused, model.branch1)
+        predicted = predict_brain_age(fused, model.branch2).item()
+        delta = age_gap(predicted, rec.age)
         z_tilde = correct_logits(z, delta, prior)
         decision, p_pd = decide(z_tilde)
         records.append(
             PredictionRecord(
-                subject_id=prep.record.subject_id,
-                label=prep.record.label,
+                subject_id=rec.subject_id,
+                label=rec.label,
                 p_pd=p_pd,
                 delta=delta,
                 predicted_age=predicted,
@@ -544,64 +548,67 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> tuple[ModelParams, OptimState | None, dict]:
+    """Read a checkpoint written by save_checkpoint.
+
+    A file that is not a whole, well-formed checkpoint of this model raises
+    CheckpointError (BadMagic, ShapeMismatch): every declared length is checked
+    against the bytes left in the file before anything that long is read.
+    """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise BadMagic(f"bad checkpoint magic {magic!r}")
-        (meta_len,) = struct.unpack("<Q", fh.read(8))
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
+        head = fh.read(8)
+        if len(head) < 8:
+            raise CheckpointError("truncated metadata length")
+        (meta_len,) = struct.unpack("<Q", head)
+        if meta_len > size - fh.tell():
+            raise CheckpointError(f"metadata length {meta_len} runs past the end of the file")
+        try:
+            meta = json.loads(fh.read(meta_len).decode("utf-8"))
+            channels = int(meta["channels"])
+            entries = [(str(e["name"]), tuple(int(n) for n in e["shape"])) for e in meta["arrays"]]
+            optim_meta = meta["optim"]
+        except (KeyError, TypeError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
+            raise CheckpointError(f"malformed checkpoint metadata: {exc!r}") from exc
         named: dict[str, np.ndarray] = {}
-        for entry in meta["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) < count * 8:
-                raise CheckpointError(f"truncated array {entry['name']}")
-            named[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        for name, shape in entries:
+            count = math.prod(shape)
+            if min(shape, default=0) < 0 or 8 * count > size - fh.tell():
+                raise CheckpointError(f"truncated array {name}")
+            named[name] = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape).copy()
+        if fh.tell() != size:
+            raise CheckpointError(f"{size - fh.tell()} trailing bytes after the last array")
 
-    channels = int(meta["channels"])
-    expected = ModelParams.init(channels, seed=0)
-    rebuilt = {}
+    # each branch conv holds channels² × 27 float64s, so refuse a channel
+    # count the file cannot hold before building a model that wide
+    if 8 * 27 * channels**2 > size:
+        raise ShapeMismatch(f"checkpoint of {size} bytes cannot hold a {channels}-channel model")
+    try:
+        expected = ModelParams.init(channels, seed=0)
+    except ValueError as exc:
+        raise CheckpointError(f"bad channel count in checkpoint: {exc}") from exc
     for name, t in expected.named_params():
         if name not in named:
             raise CheckpointError(f"checkpoint missing array {name}")
         if named[name].shape != t.data.shape:
             raise ShapeMismatch(f"{name}: checkpoint shape {named[name].shape} != expected {t.data.shape}")
-        rebuilt[name] = named[name]
-    model = ModelParams(
-        encoder=EncoderParams(
-            conv1_w=ad.parameter(rebuilt["encoder.conv1_w"]),
-            conv1_b=ad.parameter(rebuilt["encoder.conv1_b"]),
-            conv2_w=ad.parameter(rebuilt["encoder.conv2_w"]),
-            conv2_b=ad.parameter(rebuilt["encoder.conv2_b"]),
-        ),
-        fusion=FusionProjection(weight=ad.parameter(rebuilt["fusion.weight"]), bias=ad.parameter(rebuilt["fusion.bias"])),
-        branch1=BranchParams(
-            conv_w=ad.parameter(rebuilt["branch1.conv_w"]),
-            conv_b=ad.parameter(rebuilt["branch1.conv_b"]),
-            head_w=ad.parameter(rebuilt["branch1.head_w"]),
-            head_b=ad.parameter(rebuilt["branch1.head_b"]),
-            name="branch1",
-        ),
-        branch2=BranchParams(
-            conv_w=ad.parameter(rebuilt["branch2.conv_w"]),
-            conv_b=ad.parameter(rebuilt["branch2.conv_b"]),
-            head_w=ad.parameter(rebuilt["branch2.head_w"]),
-            head_b=ad.parameter(rebuilt["branch2.head_b"]),
-            name="branch2",
-        ),
-    )
+    model = expected.rebuilt(lambda name, _: ad.parameter(named[name]))
     optim = None
-    if meta["optim"] is not None:
+    if optim_meta is not None:
         n = len(model.params())
-        optim = OptimState(
-            m=[named[f"optim.m.{i}"] for i in range(n)],
-            v=[named[f"optim.v.{i}"] for i in range(n)],
-            step=int(meta["optim"]["step"]),
-            base_lr=float(meta["optim"]["base_lr"]),
-            weight_decay=float(meta["optim"]["weight_decay"]),
-            total_steps=int(meta["optim"]["total_steps"]),
-        )
+        try:
+            optim = OptimState(
+                m=[named[f"optim.m.{i}"] for i in range(n)],
+                v=[named[f"optim.v.{i}"] for i in range(n)],
+                step=int(optim_meta["step"]),
+                base_lr=float(optim_meta["base_lr"]),
+                weight_decay=float(optim_meta["weight_decay"]),
+                total_steps=int(optim_meta["total_steps"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"malformed optimizer state: {exc!r}") from exc
     return model, optim, meta
 
 

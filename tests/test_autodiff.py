@@ -26,14 +26,40 @@ def conv3d_bruteforce(x, w, b):
     return out
 
 
+# (Cin, D, H, W) input shapes: a small two-channel case; (1, 5, 50, 48), whose
+# forward-only output spans two blocks of ~256 KB of columns, the last one
+# partial and padded below the input; an odd 9³ edge; a non-cubic 5×6×7.
+CONV_CASES = [(2, 6, 4, 6), (1, 5, 50, 48), (2, 9, 9, 9), (2, 5, 6, 7)]
+# which of x, w, b need a gradient; none of them selects the blocked forward
+GRAD_FLAGS = {"no-grad": (False, False, False), "w-grad": (False, True, False), "x-grad": (True, False, False)}
+
+
+def conv_inputs(shape, flags, seed=0):
+    rng = np.random.default_rng(seed)
+    arrays = (rng.standard_normal(shape), rng.standard_normal((3, shape[0], 3, 3, 3)), rng.standard_normal(3))
+    return arrays, [ad.parameter(a) if g else ad.constant(a) for a, g in zip(arrays, flags)]
+
+
 class TestConv:
-    def test_matches_bruteforce(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((2, 6, 4, 6))
-        w = rng.standard_normal((3, 2, 3, 3, 3))
-        b = rng.standard_normal(3)
-        out = ad.conv3d_down(ad.constant(x), ad.constant(w), ad.constant(b))
+    @pytest.mark.parametrize("flags", GRAD_FLAGS.values(), ids=GRAD_FLAGS.keys())
+    @pytest.mark.parametrize("shape", CONV_CASES, ids=lambda s: "x".join(map(str, s)))
+    def test_matches_bruteforce(self, shape, flags):
+        (x, w, b), tensors = conv_inputs(shape, flags)
+        out = ad.conv3d_down(*tensors)
         np.testing.assert_allclose(out.data, conv3d_bruteforce(x, w, b), rtol=1e-12, atol=1e-12)
+
+    def test_multi_block_case_spans_blocks(self):
+        cin, _, h, wd = CONV_CASES[1]
+        plane_bytes = cin * 27 * ((h + 1) // 2) * ((wd + 1) // 2) * 8
+        assert ad._BLOCK_BYTES // plane_bytes < 3  # 3 output planes, so at least two blocks
+
+    @pytest.mark.parametrize("shape", CONV_CASES + [(4, 16, 16, 16)], ids=lambda s: "x".join(map(str, s)))
+    def test_no_grad_forward_equals_grad_forward(self, shape):
+        # every output column is the same dot product over the same 27·Cin
+        # taps whichever block it lands in, so the two paths agree bit for bit
+        _, const = conv_inputs(shape, GRAD_FLAGS["no-grad"])
+        _, grad = conv_inputs(shape, GRAD_FLAGS["w-grad"])
+        np.testing.assert_array_equal(ad.conv3d_down(*const).data, ad.conv3d_down(*grad).data)
 
     def test_output_shape_halves(self):
         x = ad.constant(np.zeros((1, 8, 8, 8)))
@@ -116,6 +142,20 @@ class TestPrimitives:
         assert (out.data[0] == 1.0).all()
         assert (out.data[1] == -2.0).all()
 
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "shapes", [((3,), ()), ((4, 4), (4, 1)), ((2, 3, 4), (3, 1)), ((4, 1), (1, 4))], ids=str
+    )
+    def test_broadcast_gradients(self, op, shapes):
+        rng = np.random.default_rng(5)
+        a, b = (ad.parameter(rng.standard_normal(s)) for s in shapes)
+        coeff = ad.constant(rng.standard_normal(np.broadcast_shapes(*shapes)))
+
+        def loss():
+            return ad.tsum(ad.mul(op(a, b), coeff))
+
+        assert gradient_check(loss, [a, b], probe_count=30, seed=6) < 1e-7
+
     def test_composite_gradients(self):
         rng = np.random.default_rng(3)
         w = ad.parameter(rng.standard_normal((3, 4)))
@@ -145,6 +185,15 @@ class TestEngine:
         ad.backward(ad.tsum(p))
         ad.zero_grads([p])
         assert p.grad is None
+
+    def test_no_grad_results_keep_no_graph(self):
+        x = ad.constant(np.ones((1, 4, 4, 4)))
+        w, b = ad.constant(np.ones((2, 1, 3, 3, 3))), ad.constant(np.zeros(2))
+        for out in (ad.relu(ad.conv3d_down(x, w, b)), ad.add(x, x), ad.tsum(x)):
+            assert not out.requires_grad
+            assert out._parents == () and out._backward is None
+        tracked = ad.conv3d_down(x, ad.parameter(w.data), b)
+        assert tracked.requires_grad and len(tracked._parents) == 3 and tracked._backward is not None
 
     def test_constants_get_no_grad(self):
         c = ad.constant(np.array([1.0, 2.0]))

@@ -5,11 +5,13 @@ import pytest
 
 from pddiag import autodiff as ad
 from pddiag import training as tr
-from pddiag.cohort import Cohort, SubjectRecord
-from pddiag.diagnoser import Label
-from pddiag.priors import AgingPriorParams
+from pddiag.aggregator import encode_dense, region_average_pool, upsample_fuse, weighted_aggregate
+from pddiag.cli import main as cli_main
+from pddiag.cohort import Cohort, SubjectRecord, read_manifest
+from pddiag.diagnoser import Label, decide, total_loss
+from pddiag.priors import AgingPriorParams, load_relevance_table
 from pddiag.synth import SynthConfig, generate_cohort
-from pddiag.volume_io import Volume3D
+from pddiag.volume_io import Volume3D, read_atlas
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +247,60 @@ class TestCheckpoints:
         with pytest.raises(tr.ShapeMismatch):
             tr.load_checkpoint(path)
 
+    def _rewrite_meta(self, path, edit):
+        raw = path.read_bytes()
+        n = int.from_bytes(raw[8:16], "little")
+        blob = edit(raw[16 : 16 + n])
+        path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + n :])
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        tr.save_checkpoint(tr.ModelParams.init(4, seed=0), None, path)
+        return path
+
+    def test_missing_channels_key(self, tmp_path):
+        path = self._saved(tmp_path)
+        self._rewrite_meta(path, lambda b: b.replace(b'"channels": 4, ', b""))
+        with pytest.raises(tr.CheckpointError, match="channels"):
+            tr.load_checkpoint(path)
+
+    def test_ill_typed_metadata(self, tmp_path):
+        path = self._saved(tmp_path)
+        self._rewrite_meta(path, lambda b: b.replace(b'"shape": [2]', b'"shape": "two"'))
+        with pytest.raises(tr.CheckpointError, match="metadata"):
+            tr.load_checkpoint(path)
+
+    def test_metadata_not_json(self, tmp_path):
+        path = self._saved(tmp_path)
+        self._rewrite_meta(path, lambda b: b"\xff" + b[1:])
+        with pytest.raises(tr.CheckpointError):
+            tr.load_checkpoint(path)
+
+    def test_huge_metadata_length(self, tmp_path):
+        path = self._saved(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:8] + (2**40).to_bytes(8, "little") + raw[16:])
+        with pytest.raises(tr.CheckpointError, match="past the end"):
+            tr.load_checkpoint(path)
+
+    def test_huge_array_shape(self, tmp_path):
+        path = self._saved(tmp_path)
+        self._rewrite_meta(path, lambda b: b.replace(b'"shape": [2]', b'"shape": [1099511627776]', 1))
+        with pytest.raises(tr.CheckpointError, match="truncated"):
+            tr.load_checkpoint(path)
+
+    def test_huge_channel_count(self, tmp_path):
+        path = self._saved(tmp_path)
+        self._rewrite_meta(path, lambda b: b.replace(b'"channels": 4', b'"channels": 1000000'))
+        with pytest.raises(tr.ShapeMismatch, match="cannot hold"):
+            tr.load_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(tr.CheckpointError, match="trailing"):
+            tr.load_checkpoint(path)
+
     def test_atomic_save(self, tmp_path):
         params = tr.ModelParams.init(4, seed=0)
         path = tmp_path / "m.ckpt"
@@ -352,3 +408,58 @@ class TestEvaluate:
         assert metrics.tpr is None  # no PD subjects: 0/0, not 0
         assert metrics.auc is None
         assert "tpr=undefined" in metrics.to_kv_text()
+
+
+class TestModelParams:
+    def test_copy_is_an_independent_equal_model(self):
+        params = tr.ModelParams.init(4, seed=5)
+        clone = params.copy()
+        for (na, a), (nb, b) in zip(params.named_params(), clone.named_params()):
+            assert na == nb and b.requires_grad
+            assert a.data.tobytes() == b.data.tobytes() and not np.shares_memory(a.data, b.data)
+        assert clone.branch1.name == "branch1" and clone.branch2.name == "branch2"
+
+    def test_frozen_shares_arrays_and_needs_no_grad(self):
+        params = tr.ModelParams.init(4, seed=5)
+        frozen = params.frozen()
+        for (na, a), (nb, b) in zip(params.named_params(), frozen.named_params()):
+            assert na == nb and not b.requires_grad
+            assert b.data is a.data
+
+
+@pytest.fixture(scope="module")
+def manifest_setup(tmp_path_factory):
+    root = tmp_path_factory.mktemp("scans")
+    assert cli_main(["synth", "--out", str(root), "--n", "6", "--dims", "16", "--seed", "4"]) == 0
+    table = load_relevance_table(root / "relevance.csv")
+    atlas = read_atlas(root / "atlas.nii", region_count=table.region_count)
+    return root / "manifest.csv", atlas, table
+
+
+class TestStreamingPredict:
+    def test_manifest_volumes_are_not_kept(self, manifest_setup):
+        manifest, atlas, table = manifest_setup
+        cohort = read_manifest(manifest)
+        records = tr.predict(tr.ModelParams.init(4, seed=1), cohort, atlas, table, PRIOR)
+        assert len(records) == len(cohort)
+        assert all(rec.volume is None for rec in cohort)
+
+    def test_agrees_with_total_loss_and_decide(self, manifest_setup):
+        manifest, atlas, table = manifest_setup
+        cohort = read_manifest(manifest)
+        params = tr.ModelParams.init(4, seed=1)
+        records = tr.predict(params, cohort, atlas, table, PRIOR)
+        for rec, pred in list(zip(cohort, records))[:3]:
+            vol = rec.load_volume()
+            agg = weighted_aggregate(region_average_pool(vol, atlas), table)
+            fused = upsample_fuse(agg, encode_dense(vol, params.encoder), params.fusion)
+            loss = total_loss(fused, rec.age, rec.label, params.branch1, params.branch2, PRIOR)
+            _, p_pd = decide(loss.corrected)
+            assert pred.p_pd == pytest.approx(p_pd, rel=1e-9, abs=1e-12)
+            assert pred.delta == pytest.approx(loss.delta, rel=1e-9, abs=1e-12)
+
+    def test_record_without_volume_or_path(self, tiny_setup):
+        _, sa = tiny_setup
+        orphan = Cohort([SubjectRecord("s0", 60.0, Label.PD)])
+        with pytest.raises(ValueError, match="no volume and no path"):
+            tr.predict(tr.ModelParams.init(4, seed=0), orphan, sa.atlas, sa.table, PRIOR)
