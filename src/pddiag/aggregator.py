@@ -157,12 +157,9 @@ def region_average_pool(volume, atlas: AtlasVolume) -> RegionPooled:
     arr = _volume_array(volume)
     if arr.shape != atlas.dims:
         raise DimMismatch(f"volume dims {arr.shape} != atlas dims {atlas.dims}")
-    r = atlas.region_count
-    labels = atlas.labels.ravel()
-    sums = np.bincount(labels, weights=arr.ravel(), minlength=r + 1)
-    counts = np.bincount(labels, minlength=r + 1)
-    # counts[1:] > 0 is an AtlasVolume invariant
-    return RegionPooled(values=sums[1:] / counts[1:])
+    sums = np.bincount(atlas.labels.ravel(), weights=arr.ravel(), minlength=atlas.region_count + 1)
+    # region_sizes > 0 is an AtlasVolume invariant
+    return RegionPooled(values=sums[1:] / atlas.region_sizes)
 
 
 def weighted_aggregate(pooled: RegionPooled, table) -> AggregatedFeature:

@@ -10,6 +10,7 @@ soon as it is dead. All arithmetic is float64 end to end.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -228,6 +229,25 @@ def _conv_out_dim(d: int) -> int:
     return (d + 2 * _P - _K) // _S + 1
 
 
+def _tap_view(slab: Array, nb: int, ho: int, wo: int) -> Array:
+    """The 27 taps of nb x ho x wo output positions, as a (cin, kd, kh, kw, nb, ho, wo) view of slab."""
+    taps = sliding_window_view(slab, (_K, _K, _K), axis=(1, 2, 3))[:, ::_S, ::_S, ::_S]
+    return taps[:, :nb, :ho, :wo].transpose(0, 4, 5, 6, 1, 2, 3)
+
+
+@functools.lru_cache(maxsize=8)
+def _tap_index(slab_shape: tuple, ho: int, wo: int) -> Array:
+    """Flat slab index of every im2col column entry, in column order; read-only.
+
+    The forward's own tap view applied to arange(slab size), so the backward
+    scatter visits exactly the slab elements the forward gathered.
+    """
+    nb = (slab_shape[1] - 1) // _S
+    idx = _tap_view(np.arange(np.prod(slab_shape)).reshape(slab_shape), nb, ho, wo).flatten()
+    idx.flags.writeable = False
+    return idx
+
+
 def conv3d_down(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """3-D convolution, kernel 3, stride 2, zero padding 1.
 
@@ -241,6 +261,13 @@ def conv3d_down(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     its columns are kept for backward. Otherwise a block holds about
     _BLOCK_BYTES of columns, so the GEMM reads them while they are in cache,
     and the slab and column buffers are reused from block to block.
+
+    Backward scatters the column gradients onto a zeroed slab (col2im) with
+    one np.add.at over a cached, read-only index of each column entry's slab
+    position (_tap_index, built once per shape). add.at adds the entries in
+    index order, so each slab element sums its contributions in tap order,
+    as a loop over the 27 taps would. (np.bincount would copy a read-only
+    index on every call.)
     """
     cin, d, h, wd = x.data.shape
     cout = w.data.shape[0]
@@ -250,8 +277,8 @@ def conv3d_down(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     nb = do if needs_grad else min(do, max(1, _BLOCK_BYTES // (cin * 27 * plane * 8)))
 
     slab = np.zeros((cin, _S * nb + 1, h + 2 * _P, wd + 2 * _P))
-    taps = sliding_window_view(slab, (_K, _K, _K), axis=(1, 2, 3))[:, ::_S, ::_S, ::_S, :, :, :]
-    taps = taps[:, :nb, :ho, :wo].transpose(0, 4, 5, 6, 1, 2, 3)  # (cin, kd, kh, kw, nb, ho, wo)
+    slab_shape = slab.shape  # backward needs only the shape, not the slab itself
+    taps = _tap_view(slab, nb, ho, wo)
     col_buf = np.empty(cin * 27 * nb * plane)
     wmat = w.data.reshape(cout, cin * 27)
     out = np.empty((cout, do, ho, wo))
@@ -277,15 +304,10 @@ def conv3d_down(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gb = g2d.sum(axis=1)
         gx = None
         if x.requires_grad:
-            gcols = (wmat.T @ g2d).reshape(cin, 27, do, ho, wo)
-            gxp = np.zeros((cin, d + 2 * _P, h + 2 * _P, wd + 2 * _P))
-            j = 0
-            for kd in range(_K):
-                for kh in range(_K):
-                    for kw in range(_K):
-                        gxp[:, kd : kd + _S * do : _S, kh : kh + _S * ho : _S, kw : kw + _S * wo : _S] += gcols[:, j]
-                        j += 1
-            gx = gxp[:, _P : _P + d, _P : _P + h, _P : _P + wd]
+            gcols = wmat.T @ g2d
+            gslab = np.zeros(slab_shape)
+            np.add.at(gslab.reshape(-1), _tap_index(slab_shape, ho, wo), gcols.ravel())
+            gx = gslab[:, _P : _P + d, _P : _P + h, _P : _P + wd]
         return gx, gw, gb
 
     return Tensor(out, parents=(x, w, b), backward=back)

@@ -13,6 +13,8 @@ All voxel values are widened to float64 on load.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -114,6 +116,8 @@ class AtlasVolume:
     labels: np.ndarray  # (D, H, W) integer labels in [0, region_count]
     region_count: int = 48
     voxel_size: tuple[float, float, float] = field(default=(1.0, 1.0, 1.0))
+    # (R,) voxels in each of regions 1..R, read-only; set from labels
+    region_sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.labels = np.ascontiguousarray(self.labels)
@@ -129,6 +133,8 @@ class AtlasVolume:
         empty = np.nonzero(counts[1:] == 0)[0] + 1
         if empty.size:
             raise ValueError(f"atlas regions with no voxels: {empty.tolist()}")
+        self.region_sizes = counts[1:]
+        self.region_sizes.flags.writeable = False
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -171,6 +177,8 @@ def parse_header(buf: bytes) -> VolumeHeader:
         raise NiftiFormatError(f"non-positive dims {dims}")
     pixdim = struct.unpack_from(end + "8f", buf, 76)
     vox_offset_f = struct.unpack_from(end + "f", buf, 108)[0]
+    if not math.isfinite(vox_offset_f):
+        raise NiftiFormatError(f"vox_offset {vox_offset_f} is not finite")
     vox_offset = int(round(vox_offset_f))
     if vox_offset < HEADER_SIZE:
         raise NiftiFormatError(f"vox_offset {vox_offset_f} < {HEADER_SIZE}")
@@ -199,15 +207,23 @@ def _build_header_bytes(header: VolumeHeader) -> bytes:
 
 
 def _read_payload(path, header: VolumeHeader, dtype_char: str) -> np.ndarray:
+    """Read the payload the header declares, after checking the file holds it.
+
+    The size check comes before the read, so a header that declares more
+    voxels than memory can hold fails as TruncatedData, not MemoryError.
+    """
     d, h, w = header.dims
-    count = d * h * w
     order = "<" if header.endianness == "little" else ">"
     dt = np.dtype(order + dtype_char)
+    need = d * h * w * dt.itemsize
     with open(path, "rb") as fh:
+        have = os.fstat(fh.fileno()).st_size - header.vox_offset
+        if have < need:
+            raise TruncatedData(f"{path}: payload has {max(have, 0)} bytes, need {need}")
         fh.seek(header.vox_offset)
-        raw = fh.read(count * dt.itemsize)
-    if len(raw) < count * dt.itemsize:
-        raise TruncatedData(f"payload has {len(raw)} bytes, need {count * dt.itemsize}")
+        raw = fh.read(need)
+    if len(raw) < need:
+        raise TruncatedData(f"{path}: payload has {len(raw)} bytes, need {need}")
     return np.frombuffer(raw, dtype=dt).reshape(d, h, w)
 
 
@@ -217,11 +233,11 @@ def read_volume(path) -> Volume3D:
         header_bytes = fh.read(HEADER_SIZE)
     header = parse_header(header_bytes)
     dtype_char, _ = SUPPORTED_DATATYPES[header.datatype_code]
-    payload = _read_payload(path, header, dtype_char)
-    data = payload.astype(np.float64)
-    if not np.isfinite(data).all():
-        raise NonFiniteData(f"{path}: payload contains NaN or Inf")
-    return Volume3D(header=header, data=data)
+    data = _read_payload(path, header, dtype_char).astype(np.float64)
+    try:
+        return Volume3D(header=header, data=data)
+    except NonFiniteData as exc:
+        raise NonFiniteData(f"{path}: {exc}") from None
 
 
 def write_volume(volume: Volume3D, path, datatype_code: int | None = None) -> None:

@@ -34,6 +34,21 @@ CONV_CASES = [(2, 6, 4, 6), (1, 5, 50, 48), (2, 9, 9, 9), (2, 5, 6, 7)]
 GRAD_FLAGS = {"no-grad": (False, False, False), "w-grad": (False, True, False), "x-grad": (True, False, False)}
 
 
+def col2im_loop(gcols, x_shape):
+    """The 27-tap strided scatter of column gradients onto the padded input,
+    one tap at a time: the reference for conv3d_down's indexed scatter."""
+    cin, d, h, wd = x_shape
+    _, _, do, ho, wo = gcols.shape
+    gxp = np.zeros((cin, d + 2, h + 2, wd + 2))
+    j = 0
+    for kd in range(3):
+        for kh in range(3):
+            for kw in range(3):
+                gxp[:, kd : kd + 2 * do : 2, kh : kh + 2 * ho : 2, kw : kw + 2 * wo : 2] += gcols[:, j]
+                j += 1
+    return gxp[:, 1 : 1 + d, 1 : 1 + h, 1 : 1 + wd]
+
+
 def conv_inputs(shape, flags, seed=0):
     rng = np.random.default_rng(seed)
     arrays = (rng.standard_normal(shape), rng.standard_normal((3, shape[0], 3, 3, 3)), rng.standard_normal(3))
@@ -60,6 +75,30 @@ class TestConv:
         _, const = conv_inputs(shape, GRAD_FLAGS["no-grad"])
         _, grad = conv_inputs(shape, GRAD_FLAGS["w-grad"])
         np.testing.assert_array_equal(ad.conv3d_down(*const).data, ad.conv3d_down(*grad).data)
+
+    @pytest.mark.parametrize(
+        "shape", CONV_CASES + [(4, 16, 16, 16), (8, 8, 8, 8)], ids=lambda s: "x".join(map(str, s))
+    )
+    def test_input_gradient_equals_tap_loop(self, shape):
+        (_, w, _), tensors = conv_inputs(shape, GRAD_FLAGS["x-grad"])
+        out = ad.conv3d_down(*tensors)
+        g = np.random.default_rng(1).standard_normal(out.shape)
+        gx, _, _ = out._backward(g)
+        cout, do, ho, wo = out.shape
+        gcols = (w.reshape(cout, -1).T @ g.reshape(cout, -1)).reshape(shape[0], 27, do, ho, wo)
+        np.testing.assert_array_equal(gx, col2im_loop(gcols, shape))
+
+    def test_tap_index_is_cached_and_read_only(self):
+        x = ad.parameter(np.ones((2, 6, 4, 6)))
+        w, b = ad.constant(np.ones((3, 2, 3, 3, 3))), ad.constant(np.zeros(3))
+        hits = ad._tap_index.cache_info().hits
+        for _ in range(2):
+            ad.backward(ad.tsum(ad.conv3d_down(x, w, b)))
+        assert ad._tap_index.cache_info().hits > hits  # the second backward reuses the first's index
+        idx = ad._tap_index((2, 7, 6, 8), 2, 3)  # this input's slab: 2·3 + 1 planes, H and W padded
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0] = 0
 
     def test_output_shape_halves(self):
         x = ad.constant(np.zeros((1, 8, 8, 8)))

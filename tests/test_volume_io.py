@@ -1,7 +1,10 @@
+import contextlib
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pddiag import volume_io as vio
 
@@ -74,6 +77,38 @@ class TestParseHeader:
     def test_voxel_size_read(self):
         hdr = vio.parse_header(build_header_bytes(pixdim=(2.0, 3.0, 4.0)))
         assert hdr.voxel_size == (2.0, 3.0, 4.0)
+
+    @pytest.mark.parametrize("vox_offset", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_vox_offset(self, vox_offset):
+        with pytest.raises(vio.NiftiFormatError, match="not finite"):
+            vio.parse_header(build_header_bytes(vox_offset=vox_offset))
+
+
+# (byte offset, width) of the header fields the property test overwrites
+MUTABLE_FIELDS = {"dim[0]": (40, 2), "dim[1:4]": (42, 6), "dim[4:8]": (48, 8), "datatype": (70, 2), "vox_offset": (108, 4)}
+
+
+class TestMutatedHeaders:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        byte_order=st.sampled_from(["<", ">"]),
+        edits=st.fixed_dictionaries(
+            {name: st.none() | st.binary(min_size=n, max_size=n) for name, (_, n) in MUTABLE_FIELDS.items()}
+        ),
+    )
+    def test_only_format_errors_escape(self, tmp_path_factory, byte_order, edits):
+        # each field keeps its valid value (None) or gets arbitrary bytes
+        payload = np.arange(64, dtype=byte_order + "f4").tobytes()
+        buf = bytearray(build_header_bytes(dims_xyz=(4, 4, 4), byte_order=byte_order) + b"\x00" * 4 + payload)
+        for name, raw in edits.items():
+            if raw is not None:
+                offset, width = MUTABLE_FIELDS[name]
+                buf[offset : offset + width] = raw
+        path = tmp_path_factory.getbasetemp() / "mutated.nii"
+        path.write_bytes(bytes(buf))
+        for read in (lambda: vio.parse_header(bytes(buf[:348])), lambda: vio.read_volume(path)):
+            with contextlib.suppress(vio.NiftiFormatError):
+                read()
 
 
 class TestReadWrite:
@@ -157,7 +192,21 @@ class TestReadWrite:
         payload = np.full(8, np.nan, dtype="<f4").tobytes()
         path = tmp_path / "n.nii"
         path.write_bytes(build_header_bytes(dims_xyz=(2, 2, 2)) + b"\x00" * 4 + payload)
-        with pytest.raises(vio.NonFiniteData):
+        with pytest.raises(vio.NonFiniteData, match="n.nii"):
+            vio.read_volume(path)
+
+    @pytest.mark.parametrize("read", [vio.read_volume, vio.read_atlas], ids=lambda f: f.__name__)
+    def test_oversized_header_is_truncated_data(self, tmp_path, read):
+        # 32767³ voxels: reading before checking the file size ran out of memory
+        path = tmp_path / "huge.nii"
+        path.write_bytes(build_header_bytes(dims_xyz=(32767,) * 3, datatype=vio.DTYPE_UINT8) + b"\x00" * 68)
+        with pytest.raises(vio.TruncatedData):
+            read(path)
+
+    def test_vox_offset_past_end_of_file(self, tmp_path):
+        path = tmp_path / "far.nii"
+        path.write_bytes(build_header_bytes(dims_xyz=(2, 2, 2), vox_offset=1e30) + b"\x00" * 36)
+        with pytest.raises(vio.TruncatedData):
             vio.read_volume(path)
 
     def test_missing_file(self, tmp_path):
@@ -195,6 +244,14 @@ class TestAtlas:
         vio.write_volume(vol, tmp_path / "f.nii", datatype_code=vio.DTYPE_FLOAT32)
         with pytest.raises(vio.UnsupportedDatatype):
             vio.read_atlas(tmp_path / "f.nii")
+
+    def test_region_sizes_counted_at_construction(self):
+        rng = np.random.default_rng(6)
+        labels = rng.integers(0, 5, size=(5, 6, 7))
+        labels.flat[:4] = [1, 2, 3, 4]
+        atlas = vio.AtlasVolume(labels=labels, region_count=4)
+        assert atlas.region_sizes.tolist() == [int((labels == r).sum()) for r in range(1, 5)]
+        assert not atlas.region_sizes.flags.writeable
 
     def test_empty_region_rejected(self):
         labels = np.ones((4, 4, 4), dtype=np.int64)
