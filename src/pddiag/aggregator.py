@@ -123,10 +123,6 @@ class FusionProjection:
             bias=ad.parameter(np.zeros(channels)),
         )
 
-    @classmethod
-    def zeros(cls, channels: int) -> "FusionProjection":
-        return cls(weight=ad.parameter(np.zeros((channels, 2))), bias=ad.parameter(np.zeros(channels)))
-
     @property
     def channels(self) -> int:
         return self.weight.data.shape[0]

@@ -42,9 +42,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -134,34 +131,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, parents=(a, b), backward=back)
 
 
-def neg(a: Tensor) -> Tensor:
-    return Tensor(-a.data, parents=(a,), backward=lambda g: (-g,))
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
     return Tensor(np.where(mask, a.data, 0.0), parents=(a,), backward=lambda g: (g * mask,))
-
-
-def _sigmoid(x: Array) -> Array:
-    x = np.asarray(x, dtype=np.float64)
-    flat = np.atleast_1d(x)
-    out = np.empty_like(flat)
-    pos = flat >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
-    ex = np.exp(flat[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out.reshape(x.shape)
-
-
-def softplus(a: Tensor) -> Tensor:
-    # log(1 + e^x) via logaddexp keeps the large-|x| tails exact
-    out = np.logaddexp(0.0, a.data)
-    return Tensor(out, parents=(a,), backward=lambda g: (g * _sigmoid(a.data),))
-
-
-def tsum(a: Tensor) -> Tensor:
-    return Tensor(np.sum(a.data), parents=(a,), backward=lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
 
 
 def pick(a: Tensor, index: int) -> Tensor:

@@ -2,8 +2,12 @@
 
 Branch 1 maps the fused feature to two logits (PD, other); branch 2 has the
 same architecture with its own parameters and regresses brain age. The age
-gap (predicted minus chronological) feeds a two-sided hinge loss and a
-smooth additive correction of the logits before cross entropy.
+gap delta (predicted minus chronological) feeds a two-sided hinge loss and
+an additive correction of the logits before cross entropy. The paper writes
+the correction as alpha * (softplus(delta - tau) - softplus(tau - delta));
+that difference is exactly delta - tau, so ``phi`` computes it in that
+closed form. ``head`` is the one forward through both branches and the
+correction, shared by ``total_loss`` and ``training.predict``.
 """
 
 from __future__ import annotations
@@ -31,13 +35,9 @@ class Label(enum.Enum):
 
 @dataclass
 class Logits:
-    """(z_pd, z_ot) pair; ``node`` keeps the graph when produced by classify()."""
+    """(z_pd, z_ot) pair as one graph node of shape (2,)."""
 
     node: Tensor
-
-    @classmethod
-    def of(cls, z_pd: float, z_ot: float) -> "Logits":
-        return cls(node=ad.constant(np.array([z_pd, z_ot], dtype=np.float64)))
 
     @property
     def z_pd(self) -> float:
@@ -46,9 +46,6 @@ class Logits:
     @property
     def z_ot(self) -> float:
         return float(self.node.data[1])
-
-    def values(self) -> tuple[float, float]:
-        return self.z_pd, self.z_ot
 
 
 @dataclass
@@ -119,38 +116,16 @@ def predict_brain_age(fused: DenseFeature, params: BranchParams) -> Tensor:
     return ad.pick(out, 0)
 
 
-def _softplus_scalar(x: float) -> float:
-    # stable: for large x return x + log1p(e^-x), else log1p(e^x)
-    if x > 30.0:
-        return x + math.log1p(math.exp(-x))
-    return math.log1p(math.exp(x))
+def phi(delta: Tensor, tau: float) -> Tensor:
+    """The paper's softplus(delta - tau) - softplus(tau - delta), in its closed form delta - tau."""
+    return ad.sub(delta, ad.constant(tau))
 
 
-def phi(delta: float, tau: float) -> float:
-    """softplus(delta - tau) - softplus(tau - delta); analytically delta - tau."""
-    return _softplus_scalar(delta - tau) - _softplus_scalar(tau - delta)
-
-
-def age_loss(delta: float, label: Label, prior: AgingPriorParams) -> float:
+def age_loss(delta: Tensor, label: Label, prior: AgingPriorParams) -> Tensor:
     """Hinge penalty: PD below zeta, others above tau."""
     if label is Label.PD:
-        return max(0.0, prior.zeta - delta)
-    return max(0.0, delta - prior.tau)
-
-
-def correct_logits(z: Logits, delta: float, prior: AgingPriorParams) -> Logits:
-    """Shift the PD logit up and the other logit down by alpha * phi(delta)."""
-    c = prior.alpha * phi(delta, prior.tau)
-    return Logits.of(z.z_pd + c, z.z_ot - c)
-
-
-def cls_loss(z_tilde: Logits, label: Label) -> float:
-    """Two-class cross entropy with log-sum-exp stabilization."""
-    z = np.array(z_tilde.values())
-    m = float(z.max())
-    lse = m + math.log(math.exp(z[0] - m) + math.exp(z[1] - m))
-    target = z[0] if label is Label.PD else z[1]
-    return lse - float(target)
+        return ad.relu(ad.sub(ad.constant(prior.zeta), delta))
+    return ad.relu(ad.sub(delta, ad.constant(prior.tau)))
 
 
 def decide(z_tilde: Logits) -> tuple[Label, float]:
@@ -165,9 +140,35 @@ def decide(z_tilde: Logits) -> tuple[Label, float]:
 
 
 def ce_loss_node(logits: Logits, label: Label) -> Tensor:
-    """Graph-level cross entropy on a logits pair (used for stage-1 training)."""
+    """Graph-level two-class cross entropy, stabilised by logsumexp."""
     idx = 0 if label is Label.PD else 1
     return ad.sub(ad.logsumexp(logits.node), ad.pick(logits.node, idx))
+
+
+@dataclass
+class HeadOutput:
+    predicted_age: Tensor  # scalar, years
+    delta: Tensor  # scalar age gap: predicted minus chronological
+    corrected: Logits  # z + [alpha, -alpha] * phi(delta, tau)
+
+
+def head(
+    fused: DenseFeature,
+    age_chrono: float,
+    branch1: BranchParams,
+    branch2: BranchParams,
+    prior: AgingPriorParams,
+) -> HeadOutput:
+    """Both branches and the age-corrected logits: the one diagnosis forward.
+
+    Training builds its loss on top of it; prediction runs it on constant
+    parameters and reads the corrected logits with decide().
+    """
+    pred = predict_brain_age(fused, branch2)
+    delta = ad.sub(pred, ad.constant(age_chrono))
+    z = classify(fused, branch1)
+    shift = ad.mul(ad.constant(np.array([prior.alpha, -prior.alpha])), phi(delta, prior.tau))
+    return HeadOutput(predicted_age=pred, delta=delta, corrected=Logits(node=ad.add(z.node, shift)))
 
 
 @dataclass
@@ -194,25 +195,16 @@ def total_loss(
     The age gap feeds both the hinge term and the logit correction, so
     gradients reach branch 2 through both paths.
     """
-    pred = predict_brain_age(fused, branch2)
-    delta = ad.sub(pred, ad.constant(age_chrono))
-    if label is Label.PD:
-        l_age = ad.relu(ad.sub(ad.constant(prior.zeta), delta))
-    else:
-        l_age = ad.relu(ad.sub(delta, ad.constant(prior.tau)))
-    tau = ad.constant(prior.tau)
-    phi_node = ad.sub(ad.softplus(ad.sub(delta, tau)), ad.softplus(ad.sub(tau, delta)))
-    z = classify(fused, branch1)
-    z_tilde = ad.add(z.node, ad.mul(ad.constant(np.array([prior.alpha, -prior.alpha])), phi_node))
-    idx = 0 if label is Label.PD else 1
-    l_cls = ad.sub(ad.logsumexp(z_tilde), ad.pick(z_tilde, idx))
+    out = head(fused, age_chrono, branch1, branch2, prior)
+    l_age = age_loss(out.delta, label, prior)
+    l_cls = ce_loss_node(out.corrected, label)
     node = ad.add(l_age, l_cls)
     return LossBreakdown(
         node=node,
         total=node.item(),
         age=l_age.item(),
         cls=l_cls.item(),
-        delta=delta.item(),
-        predicted_age=pred.item(),
-        corrected=Logits(node=Tensor(z_tilde.data)),
+        delta=out.delta.item(),
+        predicted_age=out.predicted_age.item(),
+        corrected=out.corrected,
     )

@@ -22,8 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .volume_io import DimMismatch, Volume3D
-
 
 class ToolConfigError(ValueError):
     pass
@@ -72,7 +70,12 @@ class PipelineRecord:
 
     @property
     def ok(self) -> bool:
-        return all(v in ("skipped", "ran") for v in self.steps.values()) and self.output_path is not None
+        """Every step ran or was cached, the output is in place, and nothing failed after."""
+        return (
+            self.error is None
+            and all(v in ("skipped", "ran") for v in self.steps.values())
+            and self.output_path is not None
+        )
 
     def to_json(self) -> str:
         return json.dumps(
@@ -226,9 +229,3 @@ def run_pipeline(subjects, cfg: ToolConfig) -> list[PipelineRecord]:
         return [runner.process(p) for p in subjects]
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
         return list(pool.map(runner.process, subjects))
-
-
-def verify_processed(volume: Volume3D, expected_dims: tuple[int, int, int]) -> None:
-    """Guard the same-grid assumption between processed volumes and the atlas."""
-    if tuple(volume.dims) != tuple(expected_dims):
-        raise DimMismatch(f"volume dims {tuple(volume.dims)} != expected dims {tuple(expected_dims)}")

@@ -114,12 +114,6 @@ class RelevanceTable:
         """Theta indexed by region_id - 1; strictly positive."""
         return np.array([RELEVANCE_WEIGHTS[e.relevance] for e in self.entries], dtype=np.float64)
 
-    def relevance_of(self, region_id: int) -> RelevanceClass:
-        return self.entries[region_id - 1].relevance
-
-    def weight_of(self, region_id: int) -> float:
-        return RELEVANCE_WEIGHTS[self.entries[region_id - 1].relevance]
-
 
 def default_relevance_table() -> RelevanceTable:
     """The built-in 48-region table (4 strong, 9 potential, 35 none)."""

@@ -6,6 +6,10 @@ taking chronological age as the regression target. Stage 3 fine-tunes
 everything under the combined hinge + corrected-cross-entropy objective.
 All loops are single-threaded and deterministic for a fixed seed.
 
+Stage 3's loss and ``predict`` run the same ``diagnoser.head``, so both read
+the corrected logits z + [alpha, -alpha] * (delta - tau), the closed form of
+the paper's softplus-pair correction.
+
 Forward passes that need no gradient (stage 2's fixed features and
 ``predict``) run on ``ModelParams.frozen()``, a constant view of the same
 arrays, so they build no autodiff graph and ``conv3d_down`` takes its
@@ -39,16 +43,7 @@ from .aggregator import (
     weighted_aggregate,
 )
 from .cohort import Cohort, SubjectRecord
-from .diagnoser import (
-    BranchParams,
-    Label,
-    ce_loss_node,
-    classify,
-    correct_logits,
-    decide,
-    predict_brain_age,
-    total_loss,
-)
+from .diagnoser import BranchParams, Label, ce_loss_node, classify, decide, head, predict_brain_age, total_loss
 from .priors import AgingPriorParams, RelevanceTable, age_gap
 from .volume_io import AtlasVolume
 
@@ -314,44 +309,6 @@ def write_loss_trace(trace: list[EpochTrace], path) -> None:
             fh.write(f"{t.epoch},{t.loss!r},{age},{cls}\n")
 
 
-def gradient_check(loss_fn, params: list[Tensor], probe_count: int = 50, h: float = 1e-5, seed: int = 0) -> float:
-    """Compare analytic gradients against central differences at random coordinates.
-
-    loss_fn() must rebuild and return the scalar loss Tensor from scratch.
-    Returns the max of |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-    """
-    ad.zero_grads(params)
-    root = loss_fn()
-    if not np.isfinite(root.data):
-        raise ValueError("loss is not finite")
-    ad.backward(root)
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
-
-    sizes = np.array([p.data.size for p in params])
-    offsets = np.cumsum(sizes)
-    rng = np.random.default_rng(seed)
-    coords = rng.integers(0, int(sizes.sum()), size=probe_count)
-
-    worst = 0.0
-    for c in coords:
-        k = int(np.searchsorted(offsets, c, side="right"))
-        i = int(c - (offsets[k - 1] if k else 0))
-        p = params[k]
-        orig = p.data.flat[i]
-        p.data.flat[i] = orig + h
-        f_plus = float(loss_fn().data)
-        p.data.flat[i] = orig - h
-        f_minus = float(loss_fn().data)
-        p.data.flat[i] = orig
-        if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-            raise ValueError("loss is not finite during probing")
-        numeric = (f_plus - f_minus) / (2.0 * h)
-        a = float(analytic[k].flat[i])
-        rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-        worst = max(worst, rel)
-    return worst
-
-
 @dataclass
 class PredictionRecord:
     subject_id: str
@@ -411,7 +368,7 @@ def predict(
     table: RelevanceTable,
     prior: AgingPriorParams,
 ) -> list[PredictionRecord]:
-    """Full forward path per subject: encode, pool, aggregate, fuse, both branches, correct, decide.
+    """Full forward path per subject: encode, pool, aggregate, fuse, ``head``, decide.
 
     Subjects stream one at a time: a volume read from a record's path is
     dropped once the subject is decided, never kept on the record, and the
@@ -423,11 +380,10 @@ def predict(
     records = []
     for rec in cohort:
         fused = _fused(_prepare_one(rec, rec.fetch_volume(), atlas, table), model)
-        z = classify(fused, model.branch1)
-        predicted = predict_brain_age(fused, model.branch2).item()
+        out = head(fused, rec.age, model.branch1, model.branch2, prior)
+        predicted = out.predicted_age.item()
         delta = age_gap(predicted, rec.age)
-        z_tilde = correct_logits(z, delta, prior)
-        decision, p_pd = decide(z_tilde)
+        decision, p_pd = decide(out.corrected)
         records.append(
             PredictionRecord(
                 subject_id=rec.subject_id,

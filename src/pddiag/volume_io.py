@@ -141,16 +141,6 @@ class AtlasVolume:
         return self.labels.shape
 
 
-@dataclass
-class OneHotAtlas:
-    data: np.ndarray  # (R, D, H, W) uint8 indicators
-    region_count: int
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape[1:]
-
-
 def parse_header(buf: bytes) -> VolumeHeader:
     """Decode a 348-byte NIfTI-1 header, inferring endianness from sizeof_hdr."""
     if len(buf) < HEADER_SIZE:
@@ -289,11 +279,3 @@ def write_atlas(atlas: AtlasVolume, path) -> None:
     code = DTYPE_UINT8 if atlas.region_count <= 255 else DTYPE_INT16
     vol = Volume3D.from_array(atlas.labels.astype(np.float64), voxel_size=atlas.voxel_size, datatype_code=code)
     write_volume(vol, path, datatype_code=code)
-
-
-def onehot_atlas(atlas: AtlasVolume) -> OneHotAtlas:
-    """Indicator channel per region 1..R; background label 0 maps to all-zero channels."""
-    r = atlas.region_count
-    channels = np.arange(1, r + 1, dtype=atlas.labels.dtype)
-    data = (atlas.labels[None, :, :, :] == channels[:, None, None, None]).astype(np.uint8)
-    return OneHotAtlas(data=data, region_count=r)

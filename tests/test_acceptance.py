@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import gradient_check, softplus_pair, tsum
 from pddiag import autodiff as ad
 from pddiag import training as tr
 from pddiag import volume_io as vio
@@ -34,7 +35,7 @@ from pddiag.diagnoser import BranchParams, Label, age_loss, classify, phi, predi
 from pddiag.preprocess import ToolConfig, run_pipeline
 from pddiag.priors import AgingPriorParams
 from pddiag.synth import SynthConfig, generate_cohort, split_cohort
-from pddiag.training import ModelParams, TrainConfig, evaluate, gradient_check, train_stage
+from pddiag.training import ModelParams, TrainConfig, evaluate, train_stage
 
 PRIOR = AgingPriorParams(zeta=9.5, tau=4.5, alpha=1.0)
 
@@ -79,25 +80,25 @@ def test_criterion_01_phi_identity():
     worst = 0.0
     for tau in (0.0, 4.5, 10.0):
         for delta in np.arange(-50.0, 50.0 + 1e-9, 0.1):
-            worst = max(worst, abs(phi(float(delta), tau) - (delta - tau)))
+            worst = max(worst, abs(phi(ad.constant(delta), tau).item() - softplus_pair(delta - tau)))
         for delta in (tau + 1000.0, tau - 1000.0):  # overflow-safe far path
-            worst = max(worst, abs(phi(delta, tau) - (delta - tau)))
+            worst = max(worst, abs(phi(ad.constant(delta), tau).item() - softplus_pair(delta - tau)))
     elapsed = time.time() - t0
     assert worst < 1e-9
     assert elapsed < 1.0
-    report(1, f"max |phi(d) - (d - tau)| = {worst:.2e} over 3 taus x 1001-point grid in {elapsed:.2f}s")
+    report(1, f"max |phi(d) - softplus pair| = {worst:.2e} over 3 taus x 1001-point grid in {elapsed:.2f}s")
 
 
 def test_criterion_02_hinge_zones():
     for delta in np.linspace(9.5, 200.0, 25):
-        assert age_loss(float(delta), Label.PD, PRIOR) == 0.0
+        assert age_loss(ad.constant(delta), Label.PD, PRIOR).item() == 0.0
     for delta in np.linspace(-200.0, 4.5, 25):
-        assert age_loss(float(delta), Label.OTHER, PRIOR) == 0.0
+        assert age_loss(ad.constant(delta), Label.OTHER, PRIOR).item() == 0.0
     rng = np.random.default_rng(2)
     worst = 0.0
     for delta in rng.uniform(-40, 40, size=20):
-        worst = max(worst, abs(age_loss(delta, Label.PD, PRIOR) - max(0.0, 9.5 - delta)))
-        worst = max(worst, abs(age_loss(delta, Label.OTHER, PRIOR) - max(0.0, delta - 4.5)))
+        worst = max(worst, abs(age_loss(ad.constant(delta), Label.PD, PRIOR).item() - max(0.0, 9.5 - delta)))
+        worst = max(worst, abs(age_loss(ad.constant(delta), Label.OTHER, PRIOR).item() - max(0.0, delta - 4.5)))
     assert worst < 1e-12
     report(2, f"hinges exactly zero on their zones; 20-point linear-penalty error {worst:.2e}")
 
@@ -164,15 +165,15 @@ def test_criterion_05_gradient_checks():
 
     checks = {
         "encode_dense": (
-            lambda: ad.tsum(ad.mul(encode_dense(vol, enc).node, coeff_dense)),
+            lambda: tsum(ad.mul(encode_dense(vol, enc).node, coeff_dense)),
             [t for _, t in enc.named_params()],
         ),
         "upsample_fuse": (
-            lambda: ad.tsum(ad.mul(fused().node, coeff_dense)),
+            lambda: tsum(ad.mul(fused().node, coeff_dense)),
             [t for _, t in proj.named_params()] + [t for _, t in enc.named_params()],
         ),
         "classify": (
-            lambda: ad.tsum(ad.mul(classify(fused(), b1).node, coeff_z)),
+            lambda: tsum(ad.mul(classify(fused(), b1).node, coeff_z)),
             [t for _, t in b1.named_params()],
         ),
         "predict_brain_age": (
@@ -229,8 +230,14 @@ def test_criterion_07_synthetic_end_to_end(e2e):
     assert runtime < 600.0, f"runtime {runtime:.0f}s"
     # after stage 3 the margins are respected on average over the training data
     _, train_records = evaluate(e2e["models"][0], e2e["train"], e2e["atlas"], e2e["table"], PRIOR)
-    hinge_pd = float(np.mean([age_loss(r.delta, Label.PD, PRIOR) for r in train_records if r.label is Label.PD]))
-    hinge_ot = float(np.mean([age_loss(r.delta, Label.OTHER, PRIOR) for r in train_records if r.label is Label.OTHER]))
+    hinge_pd = float(
+        np.mean([age_loss(ad.constant(r.delta), Label.PD, PRIOR).item() for r in train_records if r.label is Label.PD])
+    )
+    hinge_ot = float(
+        np.mean(
+            [age_loss(ad.constant(r.delta), Label.OTHER, PRIOR).item() for r in train_records if r.label is Label.OTHER]
+        )
+    )
     assert hinge_pd < 0.5 and hinge_ot < 0.5, f"train hinge losses {hinge_pd}, {hinge_ot}"
     report(
         7,

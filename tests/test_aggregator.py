@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import gradient_check, tsum, zero_fusion
 from pddiag import autodiff as ad
 from pddiag.aggregator import (
     AggregatedFeature,
@@ -16,7 +17,6 @@ from pddiag.aggregator import (
     weighted_aggregate,
 )
 from pddiag.priors import RegionEntry, RelevanceClass, RelevanceTable
-from pddiag.training import gradient_check
 from pddiag.volume_io import AtlasVolume, DimMismatch, Volume3D
 
 
@@ -58,7 +58,7 @@ class TestEncodeDense:
         coeff = rng.standard_normal((4, 2, 2, 2))
 
         def loss():
-            return ad.tsum(ad.mul(encode_dense(vol, params).node, ad.constant(coeff)))
+            return tsum(ad.mul(encode_dense(vol, params).node, ad.constant(coeff)))
 
         tensors = [t for _, t in params.named_params()]
         assert gradient_check(loss, tensors, probe_count=60, seed=5) < 1e-4
@@ -170,13 +170,13 @@ class TestUpsampleFuse:
         rng = np.random.default_rng(12)
         params = EncoderParams.init(4, rng)
         dense = encode_dense(rng.standard_normal((8, 8, 8)), params)
-        fused = upsample_fuse(AggregatedFeature(5.0, 2.0), dense, FusionProjection.zeros(4))
+        fused = upsample_fuse(AggregatedFeature(5.0, 2.0), dense, zero_fusion(4))
         np.testing.assert_array_equal(fused.data, dense.data)
 
     def test_column_selector_construction(self):
         rng = np.random.default_rng(13)
         dense = encode_dense(rng.standard_normal((8, 8, 8)), EncoderParams.init(4, rng))
-        proj = FusionProjection.zeros(4)
+        proj = zero_fusion(4)
         proj.weight.data[0, 0] = 1.0  # channel 0 <- mean with weight 1
         fused = upsample_fuse(AggregatedFeature(1.0, 0.0), dense, proj)
         # per-voxel oracle loop
@@ -209,7 +209,7 @@ class TestUpsampleFuse:
         def loss():
             dense = encode_dense(vol, enc)
             fused = upsample_fuse(AggregatedFeature(0.7, 0.4), dense, proj)
-            return ad.tsum(ad.mul(fused.node, ad.constant(coeff)))
+            return tsum(ad.mul(fused.node, ad.constant(coeff)))
 
         tensors = [t for _, t in proj.named_params()] + [t for _, t in enc.named_params()]
         assert gradient_check(loss, tensors, probe_count=60, seed=17) < 1e-4
@@ -218,7 +218,7 @@ class TestUpsampleFuse:
         # with a zero projection the output cannot depend on the aggregate
         rng = np.random.default_rng(18)
         dense = encode_dense(rng.standard_normal((8, 8, 8)), EncoderParams.init(4, rng))
-        proj = FusionProjection.zeros(4)
+        proj = zero_fusion(4)
         a = upsample_fuse(AggregatedFeature(123.0, 45.0), dense, proj)
         b = upsample_fuse(AggregatedFeature(-7.0, 0.0), dense, proj)
         np.testing.assert_array_equal(a.data, b.data)

@@ -2,11 +2,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from pddiag.preprocess import PipelineRecord, ToolConfig, ToolConfigError, run_pipeline, verify_processed
-from pddiag.volume_io import DimMismatch, Volume3D
+from pddiag import preprocess
+from pddiag.preprocess import ToolConfig, ToolConfigError, run_pipeline
 
 COPY_MOCK = """\
 import sys, pathlib
@@ -115,6 +114,21 @@ class TestRunPipeline:
         assert not records[0].ok
         assert records[1].ok
 
+    def test_error_after_all_steps_is_not_ok(self, harness, monkeypatch):
+        real = preprocess._sha256_file
+
+        def failing_on_outputs(path):
+            if Path(path).parent.name == "out":
+                raise OSError("disk went away while hashing the output")
+            return real(path)
+
+        monkeypatch.setattr(preprocess, "_sha256_file", failing_on_outputs)
+        rec = run_pipeline(harness.subjects(1), harness.config())[0]
+        assert rec.steps == {"strip": "ran", "bias": "ran", "register": "ran"}
+        assert rec.digest is None
+        assert "disk went away" in rec.error
+        assert not rec.ok
+
     def test_nonzero_exit_recorded_as_failed(self, harness):
         cfg = harness.config(bias_cmd=harness.cmd(harness.fail))
         records = run_pipeline(harness.subjects(1), cfg)
@@ -203,15 +217,3 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="unique"):
             run_pipeline([a, b], harness.config())
         assert harness.invocations() == 0
-
-
-class TestVerifyProcessed:
-    def test_matching_dims_ok(self):
-        vol = Volume3D.from_array(np.zeros((4, 6, 8)))
-        verify_processed(vol, (4, 6, 8))
-        verify_processed(vol, vol.dims)  # identity
-
-    def test_mismatch_names_both_triples(self):
-        vol = Volume3D.from_array(np.zeros((4, 6, 8)))
-        with pytest.raises(DimMismatch, match=r"\(4, 6, 8\).*\(4, 6, 9\)"):
-            verify_processed(vol, (4, 6, 9))

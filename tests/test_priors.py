@@ -35,15 +35,15 @@ class TestDefaultTable:
     def test_named_rows(self):
         table = default_relevance_table()
         assert table.entries[25].region_name == "Juxtapositional Lobule Cortex (SMA)"
-        assert table.relevance_of(26) is RelevanceClass.STRONG
-        assert table.weight_of(26) == 1.0
+        assert table.entries[25].relevance is RelevanceClass.STRONG
+        assert table.weights()[25] == 1.0
         assert table.entries[1].region_name == "Insular Cortex"
-        assert table.weight_of(2) == 1e-2
+        assert table.weights()[1] == 1e-2
         assert table.entries[47].region_name == "Occipital Pole"
-        assert table.weight_of(48) == 1e-3
+        assert table.weights()[47] == 1e-3
         assert table.entries[2].region_name == "Superior Frontal Gyrus"
         assert table.entries[0].region_name == "Frontal Pole"
-        assert table.relevance_of(1) is RelevanceClass.NONE
+        assert table.entries[0].relevance is RelevanceClass.NONE
 
     def test_weights_vector(self):
         w = default_relevance_table().weights()
@@ -76,7 +76,7 @@ class TestTableIo:
         p.write_text("region_id,region_name,relevance\n1,core,strong\n2,rest,none\n")
         table = load_relevance_table(p)
         assert table.region_count == 2
-        assert table.weight_of(1) == 1.0
+        assert table.weights()[0] == 1.0
 
     def test_duplicate_ids(self, tmp_path):
         p = tmp_path / "dup.csv"

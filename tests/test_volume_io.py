@@ -262,61 +262,3 @@ class TestAtlas:
         labels = np.full((4, 4, 4), 5, dtype=np.int64)
         with pytest.raises(ValueError, match=r"\[0, 3\]"):
             vio.AtlasVolume(labels=labels, region_count=3)
-
-
-class TestOneHot:
-    def test_background_all_zero(self):
-        labels = np.zeros((2, 2, 2), dtype=np.int64)
-        labels[0, 0, 0] = 1
-        onehot = vio.onehot_atlas(vio.AtlasVolume(labels=labels, region_count=1))
-        assert onehot.data[:, 1, 1, 1].sum() == 0
-
-    def test_indicator_position(self):
-        labels = np.zeros((2, 2, 2), dtype=np.int64)
-        labels[0, 0, 0] = 3
-        labels[1, 1, 1] = 1
-        labels[0, 1, 0] = 2
-        onehot = vio.onehot_atlas(vio.AtlasVolume(labels=labels, region_count=3))
-        assert onehot.data[2, 0, 0, 0] == 1
-        assert onehot.data[:, 0, 0, 0].sum() == 1
-        assert (onehot.data[:, 1, 0, 0] == 0).all()
-        assert onehot.region_count == 3
-
-    def test_channel_sum_matches_bruteforce(self):
-        rng = np.random.default_rng(11)
-        labels = rng.integers(0, 4, size=(4, 4, 4))
-        labels.flat[:3] = [1, 2, 3]
-        atlas = vio.AtlasVolume(labels=labels, region_count=3)
-        onehot = vio.onehot_atlas(atlas)
-        # brute-force voxel loop oracle
-        nonzero = 0
-        for d in range(4):
-            for h in range(4):
-                for w in range(4):
-                    expected = np.zeros(3)
-                    if labels[d, h, w] > 0:
-                        expected[labels[d, h, w] - 1] = 1
-                        nonzero += 1
-                    assert (onehot.data[:, d, h, w] == expected).all()
-        assert onehot.data.sum() == nonzero
-
-    def test_partition_property(self):
-        rng = np.random.default_rng(12)
-        labels = rng.integers(0, 6, size=(5, 5, 5))
-        labels.flat[:5] = [1, 2, 3, 4, 5]
-        atlas = vio.AtlasVolume(labels=labels, region_count=5)
-        sums = vio.onehot_atlas(atlas).data.sum(axis=0)
-        assert ((sums == 1) == (labels > 0)).all()
-        assert ((sums == 0) == (labels == 0)).all()
-
-    def test_label_permutation_equivariance(self):
-        rng = np.random.default_rng(13)
-        labels = rng.integers(0, 5, size=(4, 4, 4))
-        labels.flat[:4] = [1, 2, 3, 4]
-        atlas = vio.AtlasVolume(labels=labels, region_count=4)
-        perm = rng.permutation(4) + 1  # region r -> perm[r-1]
-        relabeled = np.where(labels > 0, perm[labels - 1], 0)
-        permuted = vio.onehot_atlas(vio.AtlasVolume(labels=relabeled, region_count=4))
-        original = vio.onehot_atlas(atlas)
-        for r in range(1, 5):
-            assert (permuted.data[perm[r - 1] - 1] == original.data[r - 1]).all()
