@@ -95,14 +95,6 @@ class EncoderParams:
     def channels(self) -> int:
         return self.conv2_w.data.shape[0]
 
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        return [
-            ("encoder.conv1_w", self.conv1_w),
-            ("encoder.conv1_b", self.conv1_b),
-            ("encoder.conv2_w", self.conv2_w),
-            ("encoder.conv2_b", self.conv2_b),
-        ]
-
 
 @dataclass
 class FusionProjection:
@@ -116,19 +108,15 @@ class FusionProjection:
     INIT_SCALE = 3.0
 
     @classmethod
-    def init(cls, channels: int, rng: np.random.Generator, scale: float | None = None) -> "FusionProjection":
-        s = cls.INIT_SCALE if scale is None else scale
+    def init(cls, channels: int, rng: np.random.Generator) -> "FusionProjection":
         return cls(
-            weight=ad.parameter(rng.normal(0.0, s, size=(channels, 2))),
+            weight=ad.parameter(rng.normal(0.0, cls.INIT_SCALE, size=(channels, 2))),
             bias=ad.parameter(np.zeros(channels)),
         )
 
     @property
     def channels(self) -> int:
         return self.weight.data.shape[0]
-
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        return [("fusion.weight", self.weight), ("fusion.bias", self.bias)]
 
 
 def _volume_array(volume) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,8 +21,8 @@ class SubjectRecord:
     path: str | None = None
 
     def __post_init__(self):
-        if self.age <= 0:
-            raise ValueError(f"{self.subject_id}: age must be positive, got {self.age}")
+        if not (math.isfinite(self.age) and self.age > 0):
+            raise ValueError(f"{self.subject_id}: age must be positive and finite, got {self.age}")
         if self.is_healthy and self.label is not Label.OTHER:
             raise ValueError(f"{self.subject_id}: is_healthy requires label 'other'")
 
@@ -73,25 +74,34 @@ def write_manifest(cohort: Cohort, path) -> None:
 
 
 def read_manifest(path) -> Cohort:
-    """Read a manifest; relative volume paths resolve against the manifest's directory."""
+    """Read a manifest; relative volume paths resolve against the manifest's directory.
+
+    A malformed manifest raises ValueError naming the file and the line.
+    """
     base = Path(path).parent
     subjects = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != MANIFEST_FIELDS:
-            raise ValueError(f"{path}: expected header {','.join(MANIFEST_FIELDS)}, got {reader.fieldnames}")
-        for row in reader:
-            label = Label(row["label"]) if row["label"] else None
-            vol_path = row["path"] or None
-            if vol_path and not Path(vol_path).is_absolute():
-                vol_path = str(base / vol_path)
-            subjects.append(
-                SubjectRecord(
-                    subject_id=row["subject_id"],
-                    age=float(row["age"]),
-                    label=label,
-                    is_healthy=row["is_healthy"].strip() in ("1", "true", "True"),
-                    path=vol_path,
+        try:
+            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != MANIFEST_FIELDS:
+                raise ValueError(f"expected header {','.join(MANIFEST_FIELDS)}, got {reader.fieldnames}")
+            reader.fieldnames = MANIFEST_FIELDS
+            for row in reader:
+                if None in row or None in row.values():
+                    raise ValueError(f"expected {len(MANIFEST_FIELDS)} fields, got {row}")
+                label = Label(row["label"]) if row["label"] else None
+                vol_path = row["path"] or None
+                if vol_path and not Path(vol_path).is_absolute():
+                    vol_path = str(base / vol_path)
+                subjects.append(
+                    SubjectRecord(
+                        subject_id=row["subject_id"],
+                        age=float(row["age"]),
+                        label=label,
+                        is_healthy=row["is_healthy"].strip() in ("1", "true", "True"),
+                        path=vol_path,
+                    )
                 )
-            )
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
     return Cohort(subjects=subjects)

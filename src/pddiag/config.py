@@ -1,5 +1,14 @@
 """Run configuration: an INI document with typed sections, strict keys.
 
+The ``[prior]``, ``[train]``, ``[preprocess]`` and ``[synth]`` sections take
+their keys, order and defaults from the fields of the dataclass each one
+configures (``AgingPriorParams``, ``TrainConfig``, ``ToolConfig``,
+``SynthConfig``), so every setting is declared once, where it is used. A
+field's ``config_key`` metadata renames its key (``ToolConfig.template_path``
+is ``template``), and ``[synth] dims`` holds one cube edge in place of the
+(D, H, W) triple. Only ``[model] channels``, ``[train] stage`` and ``[data]``
+belong to no dataclass and are written out here.
+
 Flags override file values; the effective config (defaults included) can be
 dumped back out as INI, so a run is always reproducible from one document.
 """
@@ -7,42 +16,33 @@ dumped back out as INI, so a run is always reproducible from one document.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 
-from .preprocess import DEFAULT_BIAS_CMD, DEFAULT_REGISTER_CMD, DEFAULT_STRIP_CMD, ToolConfig
+from .preprocess import ToolConfig
 from .priors import AgingPriorParams
 from .synth import SynthConfig
 from .training import TrainConfig
 
+
+def _key(f: dataclasses.Field) -> str:
+    return f.metadata.get("config_key", f.name)
+
+
+def _section(cls) -> dict[str, object]:
+    """The config keys and defaults of a dataclass's fields, in declaration order."""
+    return {_key(f): f.default for f in dataclasses.fields(cls)}
+
+
 # section -> key -> default (type of the default fixes the parse type)
 SCHEMA: dict[str, dict[str, object]] = {
-    "prior": {"zeta": 9.5, "tau": 4.5, "alpha": 1.0},
+    "prior": _section(AgingPriorParams),
     "model": {"channels": 8},
-    "train": {"stage": 1, "epochs": 30, "batch": 4, "lr": 1e-3, "weight_decay": 1e-3, "seed": 0},
+    "train": {"stage": 1, **_section(TrainConfig)},
     "data": {"cohort_manifest": "", "atlas_path": "", "relevance_csv": ""},
-    "preprocess": {
-        "strip_cmd": DEFAULT_STRIP_CMD,
-        "bias_cmd": DEFAULT_BIAS_CMD,
-        "register_cmd": DEFAULT_REGISTER_CMD,
-        "template": "",
-        "cache_dir": "preproc_cache",
-        "jobs": 1,
-    },
-    "synth": {
-        "n_subjects": 200,
-        "dims": 32,
-        "pd_fraction": 0.5,
-        "age_min": 50.0,
-        "age_max": 80.0,
-        "acceleration": 12.0,
-        "signal_gain": 0.15,
-        "noise_std": 10.0,
-        "baseline": 1.0,
-        "healthy_fraction": 0.5,
-        "region_count": 48,
-        "seed": 7,
-    },
+    "preprocess": _section(ToolConfig),
+    "synth": {**_section(SynthConfig), "dims": SynthConfig.dims[0]},
 }
 
 
@@ -76,44 +76,22 @@ class RunConfig:
             raise ConfigError(f"unknown config key [{section}] {key}")
         self.values[section][key] = _coerce(section, key, str(raw))
 
+    def _build(self, cls, section: str, **special):
+        """``cls`` from a section's values; ``special`` gives fields not stored as they are."""
+        values = self.values[section]
+        return cls(**({f.name: values[_key(f)] for f in dataclasses.fields(cls)} | special))
+
     def prior(self) -> AgingPriorParams:
-        p = self.values["prior"]
-        return AgingPriorParams(zeta=p["zeta"], tau=p["tau"], alpha=p["alpha"])
+        return self._build(AgingPriorParams, "prior")
 
     def train_config(self) -> TrainConfig:
-        t = self.values["train"]
-        return TrainConfig(
-            epochs=t["epochs"], batch=t["batch"], lr=t["lr"], weight_decay=t["weight_decay"], seed=t["seed"]
-        )
+        return self._build(TrainConfig, "train")
 
     def synth_config(self) -> SynthConfig:
-        s = self.values["synth"]
-        d = int(s["dims"])
-        return SynthConfig(
-            n_subjects=s["n_subjects"],
-            dims=(d, d, d),
-            pd_fraction=s["pd_fraction"],
-            age_min=s["age_min"],
-            age_max=s["age_max"],
-            acceleration=s["acceleration"],
-            signal_gain=s["signal_gain"],
-            noise_std=s["noise_std"],
-            baseline=s["baseline"],
-            healthy_fraction=s["healthy_fraction"],
-            region_count=s["region_count"],
-            seed=s["seed"],
-        )
+        return self._build(SynthConfig, "synth", dims=(self.values["synth"]["dims"],) * 3)
 
     def tool_config(self) -> ToolConfig:
-        p = self.values["preprocess"]
-        return ToolConfig(
-            strip_cmd=p["strip_cmd"],
-            bias_cmd=p["bias_cmd"],
-            register_cmd=p["register_cmd"],
-            template_path=p["template"],
-            cache_dir=p["cache_dir"],
-            jobs=p["jobs"],
-        )
+        return self._build(ToolConfig, "preprocess")
 
     def dump(self) -> str:
         lines = []

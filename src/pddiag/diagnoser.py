@@ -56,25 +56,18 @@ class BranchParams:
     conv_b: Tensor
     head_w: Tensor  # (outputs, C)
     head_b: Tensor  # (outputs,)
-    name: str = "branch"
+
+    # Small head weights keep the initial outputs near ``head_bias``.
+    HEAD_INIT_SCALE = 0.01
 
     @classmethod
-    def init(
-        cls,
-        channels: int,
-        outputs: int,
-        rng: np.random.Generator,
-        name: str = "branch",
-        head_bias: float = 0.0,
-        head_scale: float = 0.01,
-    ) -> "BranchParams":
+    def init(cls, channels: int, outputs: int, rng: np.random.Generator, head_bias: float = 0.0) -> "BranchParams":
         fan_in = 27.0 * channels
         return cls(
             conv_w=ad.parameter(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(channels, channels, 3, 3, 3))),
             conv_b=ad.parameter(np.zeros(channels)),
-            head_w=ad.parameter(rng.normal(0.0, head_scale, size=(outputs, channels))),
+            head_w=ad.parameter(rng.normal(0.0, cls.HEAD_INIT_SCALE, size=(outputs, channels))),
             head_b=ad.parameter(np.full(outputs, head_bias, dtype=np.float64)),
-            name=name,
         )
 
     @property
@@ -84,14 +77,6 @@ class BranchParams:
     @property
     def outputs(self) -> int:
         return self.head_w.data.shape[0]
-
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        return [
-            (f"{self.name}.conv_w", self.conv_w),
-            (f"{self.name}.conv_b", self.conv_b),
-            (f"{self.name}.head_w", self.head_w),
-            (f"{self.name}.head_b", self.head_b),
-        ]
 
 
 def _branch_features(fused: DenseFeature, params: BranchParams) -> Tensor:

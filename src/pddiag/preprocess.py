@@ -27,19 +27,15 @@ class ToolConfigError(ValueError):
     pass
 
 
-DEFAULT_STRIP_CMD = "hd-bet -i {input} -o {output}"
-DEFAULT_BIAS_CMD = "N4BiasFieldCorrection -d 3 -i {input} -o {output}"
-DEFAULT_REGISTER_CMD = "antsRegistrationSyN.sh -d 3 -f {template} -m {input} -o {output}"
-
 STEPS = ("strip", "bias", "register")
 
 
 @dataclass
 class ToolConfig:
-    strip_cmd: str = DEFAULT_STRIP_CMD
-    bias_cmd: str = DEFAULT_BIAS_CMD
-    register_cmd: str = DEFAULT_REGISTER_CMD
-    template_path: str = ""
+    strip_cmd: str = "hd-bet -i {input} -o {output}"
+    bias_cmd: str = "N4BiasFieldCorrection -d 3 -i {input} -o {output}"
+    register_cmd: str = "antsRegistrationSyN.sh -d 3 -f {template} -m {input} -o {output}"
+    template_path: str = field(default="", metadata={"config_key": "template"})
     cache_dir: str = "preproc_cache"
     jobs: int = 1
 
@@ -61,7 +57,7 @@ class ToolConfig:
 class PipelineRecord:
     subject_id: str
     steps: dict = field(default_factory=dict)  # step name -> skipped | ran | failed
-    output_path: str | None = None
+    output_path: str | None = None  # set together with digest, once the output is in place
     digest: str | None = None
     cache_key: str | None = None
     error: str | None = None
@@ -113,9 +109,9 @@ def _load_manifest(path: Path) -> dict[str, dict]:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn write from a killed run; ignore
-            entries[rec["subject_id"]] = rec
+                entries[rec["subject_id"]] = rec
+            except (json.JSONDecodeError, KeyError, TypeError):
+                continue  # torn write from a killed run, or no record at all; ignore
     return entries
 
 
@@ -154,15 +150,22 @@ class _Runner:
         if not output_path.exists():
             raise RuntimeError(f"{argv[0]} exited 0 but produced no output at {output_path}")
 
+    def finish(self, rec: PipelineRecord) -> PipelineRecord:
+        rec.finished_at = time.time()
+        self.append_record(rec)
+        return rec
+
     def process(self, raw_path) -> PipelineRecord:
+        """Run or reuse one subject's steps; an ``OSError`` outside them is recorded with its stage."""
         raw = Path(raw_path)
         sid = raw.name.split(".")[0]
         rec = PipelineRecord(subject_id=sid, started_at=time.time())
         final = self.out_dir / f"{sid}.nii"
+        stage = "hashing the input"
         try:
-            raw_digest = _sha256_file(raw)
-            key = self.cache_key(raw_digest)
+            key = self.cache_key(_sha256_file(raw))
             rec.cache_key = key
+            stage = "checking the cache"
             prev = self.known.get(sid)
             if (
                 prev
@@ -172,12 +175,10 @@ class _Runner:
                 and _sha256_file(final) == prev["digest"]
             ):
                 rec.steps = {s: "skipped" for s in STEPS}
-                rec.output_path = str(final)
-                rec.digest = prev["digest"]
-                rec.finished_at = time.time()
-                self.append_record(rec)
-                return rec
+                rec.output_path, rec.digest = str(final), prev["digest"]
+                return self.finish(rec)
 
+            stage = "preparing the work directory"
             tmp = self.tmp_root / sid
             tmp.mkdir(parents=True, exist_ok=True)
             stripped = tmp / "stripped.nii"
@@ -195,23 +196,16 @@ class _Runner:
                 except Exception as exc:
                     rec.steps[name] = "failed"
                     rec.error = str(exc)
-                    rec.finished_at = time.time()
-                    self.append_record(rec)
-                    return rec
+                    return self.finish(rec)
+            stage = "finalising the output"
             final.parent.mkdir(parents=True, exist_ok=True)
             registered.replace(final)
-            rec.output_path = str(final)
-            rec.digest = _sha256_file(final)
+            digest = _sha256_file(final)
+            rec.output_path, rec.digest = str(final), digest
             shutil.rmtree(tmp, ignore_errors=True)
-            rec.finished_at = time.time()
-            self.append_record(rec)
-            return rec
         except OSError as exc:
-            rec.error = str(exc)
-            rec.steps = rec.steps or {"strip": "failed"}
-            rec.finished_at = time.time()
-            self.append_record(rec)
-            return rec
+            rec.error = f"{stage}: {exc}"
+        return self.finish(rec)
 
 
 def run_pipeline(subjects, cfg: ToolConfig) -> list[PipelineRecord]:

@@ -121,19 +121,27 @@ def default_relevance_table() -> RelevanceTable:
 
 
 def load_relevance_table(path) -> RelevanceTable:
-    """Load a table from CSV with header ``region_id,region_name,relevance``."""
+    """Load a table from CSV with header ``region_id,region_name,relevance``.
+
+    A malformed row raises ValueError naming the file and the line.
+    """
+    fields = ["region_id", "region_name", "relevance"]
     entries = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["region_id", "region_name", "relevance"]:
-            raise ValueError(f"{path}: expected header 'region_id,region_name,relevance', got {reader.fieldnames}")
-        for row in reader:
-            token = row["relevance"].strip().lower()
-            try:
-                cls = RelevanceClass(token)
-            except ValueError:
-                raise ValueError(f"{path}: unknown relevance token {row['relevance']!r} (want strong/potential/none)")
-            entries.append(RegionEntry(int(row["region_id"]), row["region_name"], cls))
+        try:
+            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != fields:
+                raise ValueError(f"expected header '{','.join(fields)}', got {reader.fieldnames}")
+            reader.fieldnames = fields
+            for row in reader:
+                if None in row or None in row.values():
+                    raise ValueError(f"expected {len(fields)} fields, got {row}")
+                token = row["relevance"].strip().lower()
+                if token not in {c.value for c in RelevanceClass}:
+                    raise ValueError(f"unknown relevance token {row['relevance']!r} (want strong/potential/none)")
+                entries.append(RegionEntry(int(row["region_id"]), row["region_name"], RelevanceClass(token)))
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
     if not entries:
         raise ValueError(f"{path}: empty relevance table")
     return RelevanceTable(tuple(entries))

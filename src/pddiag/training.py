@@ -4,7 +4,13 @@ Stage 1 fits encoder + fusion + classifier with plain cross entropy.
 Stage 2 freezes those and fits the age branch on healthy non-PD subjects,
 taking chronological age as the regression target. Stage 3 fine-tunes
 everything under the combined hinge + corrected-cross-entropy objective.
-All loops are single-threaded and deterministic for a fixed seed.
+``STAGE_PARTS`` names the parts of ``ModelParams`` each stage fits. All loops
+are single-threaded and deterministic for a fixed seed.
+
+The model's structure is declared once, by the fields of ``ModelParams`` and
+of its four part dataclasses: a parameter is named ``part.field`` after the
+two field names, and ``named_params``, ``rebuilt`` and the checkpoint arrays
+all walk those fields in declaration order.
 
 Stage 3's loss and ``predict`` run the same ``diagnoser.head``, so both read
 the corrected logits z + [alpha, -alpha] * (delta - tau), the closed form of
@@ -83,46 +89,50 @@ class ShapeMismatch(CheckpointError):
 
 @dataclass
 class ModelParams:
+    """The four parts of the model; their field names name the checkpoint arrays."""
+
     encoder: EncoderParams
     fusion: FusionProjection
     branch1: BranchParams
     branch2: BranchParams
 
     @classmethod
-    def init(cls, channels: int, seed: int, age_head_bias: float = AGE_HEAD_BIAS_INIT) -> "ModelParams":
+    def init(cls, channels: int, seed: int) -> "ModelParams":
         rng = np.random.default_rng(seed)
         return cls(
             encoder=EncoderParams.init(channels, rng),
             fusion=FusionProjection.init(channels, rng),
-            branch1=BranchParams.init(channels, 2, rng, name="branch1"),
-            branch2=BranchParams.init(channels, 1, rng, name="branch2", head_bias=age_head_bias),
+            branch1=BranchParams.init(channels, 2, rng),
+            branch2=BranchParams.init(channels, 1, rng, head_bias=AGE_HEAD_BIAS_INIT),
         )
 
     @property
     def channels(self) -> int:
         return self.encoder.channels
 
+    def _parts(self) -> list[tuple[str, object]]:
+        return [(f.name, getattr(self, f.name)) for f in dataclasses.fields(self)]
+
     def named_params(self) -> list[tuple[str, Tensor]]:
-        return (
-            self.encoder.named_params()
-            + self.fusion.named_params()
-            + self.branch1.named_params()
-            + self.branch2.named_params()
-        )
+        """``part.field`` names with their tensors, in declaration order (the checkpoint's array order)."""
+        return [
+            (f"{name}.{f.name}", getattr(part, f.name))
+            for name, part in self._parts()
+            for f in dataclasses.fields(part)
+        ]
 
     def params(self) -> list[Tensor]:
         return [t for _, t in self.named_params()]
 
     def rebuilt(self, make: Callable[[str, Tensor], Tensor]) -> "ModelParams":
         """The same structure with each named tensor ``t`` replaced by ``make(name, t)``."""
-        names = {id(t): name for name, t in self.named_params()}
 
-        def part(p):
+        def rebuild(name, part):
             return dataclasses.replace(
-                p, **{k: make(names[id(v)], v) for k, v in vars(p).items() if isinstance(v, Tensor)}
+                part, **{f.name: make(f"{name}.{f.name}", getattr(part, f.name)) for f in dataclasses.fields(part)}
             )
 
-        return ModelParams(**{f.name: part(getattr(self, f.name)) for f in dataclasses.fields(self)})
+        return ModelParams(**{name: rebuild(name, part) for name, part in self._parts()})
 
     def copy(self) -> "ModelParams":
         return self.rebuilt(lambda _, t: ad.parameter(t.data))
@@ -130,6 +140,14 @@ class ModelParams:
     def frozen(self) -> "ModelParams":
         """A constant view sharing these arrays: forward passes through it build no graph."""
         return self.rebuilt(lambda _, t: ad.constant(t.data))
+
+
+# The model parts each training stage fits; the others stay fixed.
+STAGE_PARTS = {
+    1: ("encoder", "fusion", "branch1"),
+    2: ("branch2",),
+    3: tuple(f.name for f in dataclasses.fields(ModelParams)),
+}
 
 
 @dataclass
@@ -253,13 +271,7 @@ def train_stage(
         frozen = params.frozen()
         fixed = [_fused(p, frozen) for p in prepared]
 
-    if stage == 1:
-        trainables = [t for _, t in params.encoder.named_params() + params.fusion.named_params() + params.branch1.named_params()]
-    elif stage == 2:
-        trainables = [t for _, t in params.branch2.named_params()]
-    else:
-        trainables = params.params()
-
+    trainables = [t for name, t in params.named_params() if name.split(".")[0] in STAGE_PARTS[stage]]
     n = len(prepared)
     steps_per_epoch = math.ceil(n / config.batch)
     state = OptimState.init(trainables, config.lr, config.weight_decay, config.epochs * steps_per_epoch)
@@ -526,14 +538,18 @@ def load_checkpoint(path) -> tuple[ModelParams, OptimState | None, dict]:
             channels = int(meta["channels"])
             entries = [(str(e["name"]), tuple(int(n) for n in e["shape"])) for e in meta["arrays"]]
             optim_meta = meta["optim"]
-        except (KeyError, TypeError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
+        # JSON and UTF-8 errors are ValueErrors; int() of a JSON 1e400 (inf) overflows
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"malformed checkpoint metadata: {exc!r}") from exc
         named: dict[str, np.ndarray] = {}
         for name, shape in entries:
             count = math.prod(shape)
             if min(shape, default=0) < 0 or 8 * count > size - fh.tell():
                 raise CheckpointError(f"truncated array {name}")
-            named[name] = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape).copy()
+            try:
+                named[name] = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape).copy()
+            except ValueError as exc:  # an empty array with too many or too large dimensions
+                raise CheckpointError(f"array {name}: shape {shape} is not a numpy shape") from exc
         if fh.tell() != size:
             raise CheckpointError(f"{size - fh.tell()} trailing bytes after the last array")
 
@@ -563,7 +579,7 @@ def load_checkpoint(path) -> tuple[ModelParams, OptimState | None, dict]:
                 weight_decay=float(optim_meta["weight_decay"]),
                 total_steps=int(optim_meta["total_steps"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"malformed optimizer state: {exc!r}") from exc
     return model, optim, meta
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+import dataclasses
+
 from pddiag import autodiff as ad
 from pddiag.aggregator import FusionProjection
 from pddiag.autodiff import Tensor
@@ -12,6 +14,11 @@ from pddiag.autodiff import Tensor
 def tsum(a: Tensor) -> Tensor:
     """Sum of every element, as a scalar graph node."""
     return Tensor(np.sum(a.data), parents=(a,), backward=lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
+
+
+def param_tensors(*parts) -> list[Tensor]:
+    """The tensors of model parts (encoder, fusion, branch), in field order."""
+    return [getattr(p, f.name) for p in parts for f in dataclasses.fields(p)]
 
 
 def zero_fusion(channels: int) -> FusionProjection:

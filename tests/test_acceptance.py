@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import gradient_check, softplus_pair, tsum
+from helpers import gradient_check, param_tensors, softplus_pair, tsum
 from pddiag import autodiff as ad
 from pddiag import training as tr
 from pddiag import volume_io as vio
@@ -153,8 +153,8 @@ def test_criterion_05_gradient_checks():
     rng = np.random.default_rng(5)
     enc = EncoderParams.init(4, rng)
     proj = FusionProjection.init(4, rng)
-    b1 = BranchParams.init(4, 2, rng, name="branch1")
-    b2 = BranchParams.init(4, 1, rng, name="branch2", head_bias=65.0)
+    b1 = BranchParams.init(4, 2, rng)
+    b2 = BranchParams.init(4, 1, rng, head_bias=65.0)
     vol = rng.standard_normal((8, 8, 8))
     agg = AggregatedFeature(0.8, 0.3)
     coeff_dense = ad.constant(rng.standard_normal((4, 2, 2, 2)))
@@ -166,23 +166,23 @@ def test_criterion_05_gradient_checks():
     checks = {
         "encode_dense": (
             lambda: tsum(ad.mul(encode_dense(vol, enc).node, coeff_dense)),
-            [t for _, t in enc.named_params()],
+            param_tensors(enc),
         ),
         "upsample_fuse": (
             lambda: tsum(ad.mul(fused().node, coeff_dense)),
-            [t for _, t in proj.named_params()] + [t for _, t in enc.named_params()],
+            param_tensors(proj, enc),
         ),
         "classify": (
             lambda: tsum(ad.mul(classify(fused(), b1).node, coeff_z)),
-            [t for _, t in b1.named_params()],
+            param_tensors(b1),
         ),
         "predict_brain_age": (
             lambda: predict_brain_age(fused(), b2),
-            [t for _, t in b2.named_params()],
+            param_tensors(b2),
         ),
         "total_loss": (
             lambda: total_loss(fused(), 62.0, Label.PD, b1, b2, PRIOR).node,
-            [t for _, t in enc.named_params() + proj.named_params() + b1.named_params() + b2.named_params()],
+            param_tensors(enc, proj, b1, b2),
         ),
     }
     results = {}

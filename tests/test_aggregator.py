@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import gradient_check, tsum, zero_fusion
+from helpers import gradient_check, param_tensors, tsum, zero_fusion
 from pddiag import autodiff as ad
 from pddiag.aggregator import (
     AggregatedFeature,
@@ -60,7 +60,7 @@ class TestEncodeDense:
         def loss():
             return tsum(ad.mul(encode_dense(vol, params).node, ad.constant(coeff)))
 
-        tensors = [t for _, t in params.named_params()]
+        tensors = param_tensors(params)
         assert gradient_check(loss, tensors, probe_count=60, seed=5) < 1e-4
 
     def test_channels_must_be_even(self):
@@ -211,7 +211,7 @@ class TestUpsampleFuse:
             fused = upsample_fuse(AggregatedFeature(0.7, 0.4), dense, proj)
             return tsum(ad.mul(fused.node, ad.constant(coeff)))
 
-        tensors = [t for _, t in proj.named_params()] + [t for _, t in enc.named_params()]
+        tensors = param_tensors(proj, enc)
         assert gradient_check(loss, tensors, probe_count=60, seed=17) < 1e-4
 
     def test_zero_fusion_blocks_prior_path(self):

@@ -5,6 +5,10 @@ import pytest
 
 from pddiag.cli import main, read_predictions
 from pddiag.config import ConfigError, RunConfig, load_config
+from pddiag.preprocess import ToolConfig
+from pddiag.priors import AgingPriorParams
+from pddiag.synth import SynthConfig
+from pddiag.training import TrainConfig
 
 
 def tree_digest(root: Path) -> dict:
@@ -201,6 +205,27 @@ class TestConfig:
         assert cfg.get("prior", "alpha") == 1.0
         assert cfg.get("prior", "zeta") == 9.5
         assert cfg.get("prior", "tau") == 4.5
+
+    def test_default_digest_is_pinned(self):
+        # checkpoints record this digest, so the default dump must not drift
+        assert RunConfig().digest() == "648d0bdc130b5e2b"
+
+    def test_sections_build_their_dataclasses(self):
+        assert (RunConfig().prior(), RunConfig().train_config()) == (AgingPriorParams(), TrainConfig())
+        assert (RunConfig().synth_config(), RunConfig().tool_config()) == (SynthConfig(), ToolConfig())
+        cfg = RunConfig()
+        for section, key, raw in [
+            ("prior", "alpha", "0.5"),
+            ("train", "seed", "9"),
+            ("synth", "dims", "20"),
+            ("synth", "noise_std", "2.5"),
+            ("preprocess", "template", "/t/template.nii"),
+        ]:
+            cfg.set(section, key, raw)
+        assert cfg.prior() == AgingPriorParams(alpha=0.5)
+        assert cfg.train_config() == TrainConfig(seed=9)
+        assert cfg.synth_config() == SynthConfig(dims=(20, 20, 20), noise_std=2.5)
+        assert cfg.tool_config() == ToolConfig(template_path="/t/template.nii")
 
     def test_dump_load_round_trip(self, tmp_path):
         cfg = RunConfig()

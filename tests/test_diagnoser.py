@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import gradient_check, softplus_pair, tsum, zero_fusion
+from helpers import gradient_check, param_tensors, softplus_pair, tsum, zero_fusion
 from pddiag import autodiff as ad
 from pddiag.aggregator import AggregatedFeature, EncoderParams, FusionProjection, encode_dense, upsample_fuse
 from pddiag.diagnoser import (
@@ -85,7 +85,7 @@ class TestBranches:
         def loss():
             return tsum(ad.mul(classify(fused, params).node, ad.constant(coeff)))
 
-        assert gradient_check(loss, [t for _, t in params.named_params()], probe_count=60, seed=5) < 1e-4
+        assert gradient_check(loss, param_tensors(params), probe_count=60, seed=5) < 1e-4
 
     def test_age_gradient_check(self, fused):
         rng = np.random.default_rng(6)
@@ -94,7 +94,7 @@ class TestBranches:
         def loss():
             return predict_brain_age(fused, params)
 
-        assert gradient_check(loss, [t for _, t in params.named_params()], probe_count=60, seed=7) < 1e-4
+        assert gradient_check(loss, param_tensors(params), probe_count=60, seed=7) < 1e-4
 
     def test_age_finite_for_bounded_inputs(self):
         rng = np.random.default_rng(8)
@@ -257,8 +257,8 @@ class TestTotalLoss:
 
     def test_components_sum(self, fused):
         rng = np.random.default_rng(12)
-        b1 = BranchParams.init(4, 2, rng, name="branch1")
-        b2 = BranchParams.init(4, 1, rng, name="branch2", head_bias=65.0)
+        b1 = BranchParams.init(4, 2, rng)
+        b2 = BranchParams.init(4, 1, rng, head_bias=65.0)
         out = total_loss(fused, 63.0, Label.PD, b1, b2, self.PRIOR)
         assert out.total == pytest.approx(out.age + out.cls, abs=1e-12)
         assert out.delta == pytest.approx(out.predicted_age - 63.0, abs=1e-12)
@@ -274,9 +274,9 @@ class TestTotalLoss:
 
     def test_end_to_end_gradient_check(self, fused):
         rng = np.random.default_rng(13)
-        b1 = BranchParams.init(4, 2, rng, name="branch1")
-        b2 = BranchParams.init(4, 1, rng, name="branch2", head_bias=65.0)
-        tensors = [t for _, t in b1.named_params() + b2.named_params()]
+        b1 = BranchParams.init(4, 2, rng)
+        b2 = BranchParams.init(4, 1, rng, head_bias=65.0)
+        tensors = param_tensors(b1, b2)
 
         def loss():
             return total_loss(fused, 58.0, Label.OTHER, b1, b2, self.PRIOR).node

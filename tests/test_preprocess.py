@@ -114,6 +114,15 @@ class TestRunPipeline:
         assert not records[0].ok
         assert records[1].ok
 
+    def test_unreadable_input_runs_no_step(self, harness):
+        missing = harness.subjects(1)[0]
+        missing.unlink()
+        rec = run_pipeline([missing], harness.config())[0]
+        assert rec.steps == {}
+        assert rec.error.startswith("hashing the input: ")
+        assert rec.output_path is None and rec.digest is None
+        assert harness.invocations() == 0
+
     def test_error_after_all_steps_is_not_ok(self, harness, monkeypatch):
         real = preprocess._sha256_file
 
@@ -125,8 +134,8 @@ class TestRunPipeline:
         monkeypatch.setattr(preprocess, "_sha256_file", failing_on_outputs)
         rec = run_pipeline(harness.subjects(1), harness.config())[0]
         assert rec.steps == {"strip": "ran", "bias": "ran", "register": "ran"}
-        assert rec.digest is None
-        assert "disk went away" in rec.error
+        assert rec.digest is None and rec.output_path is None
+        assert rec.error == "finalising the output: disk went away while hashing the output"
         assert not rec.ok
 
     def test_nonzero_exit_recorded_as_failed(self, harness):
@@ -185,6 +194,17 @@ class TestRunPipeline:
 
         again = run_pipeline(subjects, harness.config())
         assert again[0].steps == {s: "skipped" for s in ("strip", "bias", "register")}
+
+    def test_manifest_lines_that_are_no_record_are_skipped(self, harness):
+        subjects = harness.subjects(1)
+        cfg = harness.config()
+        run_pipeline(subjects, cfg)
+        manifest = Path(cfg.cache_dir) / "manifest.jsonl"
+        with open(manifest, "a") as fh:
+            fh.write('{"steps": {}}\n[1, 2]\n"sub00"\n{"subject_id": ["sub00"]}\n{"subject_id": "sub0\n')
+        records = run_pipeline(subjects, cfg)
+        assert records[0].steps == {s: "skipped" for s in ("strip", "bias", "register")}
+        assert harness.invocations() == 3
 
     def test_manifest_one_record_per_subject_per_run(self, harness):
         subjects = harness.subjects(2)

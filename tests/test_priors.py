@@ -1,7 +1,10 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pddiag.priors import (
     AgingPriorParams,
@@ -107,6 +110,47 @@ class TestTableIo:
         p.write_text("id,name,class\n1,a,strong\n")
         with pytest.raises(ValueError, match="header"):
             load_relevance_table(p)
+
+    def test_spaces_around_header_names(self, tmp_path):
+        p = tmp_path / "spaced.csv"
+        p.write_text("region_id, region_name, relevance\n1,a,strong\n")
+        assert load_relevance_table(p).entries == (RegionEntry(1, "a", RelevanceClass.STRONG),)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2,b", "expected 3 fields"),
+            ("2,b,none,x", "expected 3 fields"),
+            ("two,b,none", "two"),
+            ("2,b,maybe", "maybe"),
+        ],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, row, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"region_id,region_name,relevance\n1,a,strong\n{row}\n")
+        with pytest.raises(ValueError, match=message) as info:
+            load_relevance_table(p)
+        assert f"{p}, line 3: " in str(info.value)
+
+
+FIELD = st.sampled_from(["1", "2", "3", "-1", "1e400", "a", "strong", "potential", "none", "", '"', "\r"])
+
+
+class TestMalformedTables:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        body=st.one_of(
+            st.lists(st.lists(FIELD | st.text(max_size=6), max_size=4).map(",".join), max_size=5).map(
+                lambda rows: "\n".join(["region_id,region_name,relevance", *rows]).encode()
+            ),
+            st.binary(max_size=200),
+        )
+    )
+    def test_only_value_errors_escape(self, tmp_path_factory, body):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_table.csv"
+        path.write_bytes(body)
+        with contextlib.suppress(ValueError):
+            load_relevance_table(path)
 
 
 class TestAgingPrior:

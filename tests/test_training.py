@@ -1,7 +1,11 @@
+import contextlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import gradient_check
 from pddiag import autodiff as ad
@@ -198,6 +202,14 @@ class TestRocAuc:
         assert tprs == sorted(tprs)
 
 
+# numbers at the edges of what int(), math.prod and numpy accept, then any JSON value
+JSON_VALUES = st.sampled_from([float("inf"), float("nan"), -1, 0, 2, 2**70, [0, 2**70]]) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
 class TestCheckpoints:
     def test_round_trip_bit_identical(self, tmp_path):
         params = tr.ModelParams.init(8, seed=11)
@@ -296,10 +308,54 @@ class TestCheckpoints:
         with pytest.raises(tr.ShapeMismatch, match="cannot hold"):
             tr.load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (b'"channels": 4', b'"channels": 1e400'),
+            (b'"shape": [2]', b'"shape": [1e400]'),
+            (b'"shape": [2]', b'"shape": [0, 1000000000000000000000]'),
+            (b'"shape": [2]', b'"shape": [' + b"0, " * 70 + b"0]"),
+        ],
+    )
+    def test_numbers_json_holds_but_numpy_does_not(self, tmp_path, old, new):
+        path = self._saved(tmp_path)
+        self._rewrite_meta(path, lambda b: b.replace(old, new, 1))
+        with pytest.raises(tr.CheckpointError):
+            tr.load_checkpoint(path)
+
     def test_trailing_bytes(self, tmp_path):
         path = self._saved(tmp_path)
         path.write_bytes(path.read_bytes() + b"\0" * 8)
         with pytest.raises(tr.CheckpointError, match="trailing"):
+            tr.load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        key=st.sampled_from(["channels", "arrays", "optim", "name", "shape", "dim"]),
+        index=st.integers(0, 13),
+        value=JSON_VALUES,
+        with_optim=st.booleans(),
+    )
+    def test_only_checkpoint_errors_escape(self, tmp_path_factory, key, index, value, with_optim):
+        # one metadata value (or one dimension of one array) replaced by arbitrary JSON
+        params = tr.ModelParams.init(2, seed=0)
+        state = tr.OptimState.init(params.params(), 1e-3, 0.0, 10) if with_optim else None
+        path = tmp_path_factory.getbasetemp() / "fuzzed.ckpt"
+        tr.save_checkpoint(params, state, path)
+
+        def edit(blob):
+            meta = json.loads(blob)
+            entry = meta["arrays"][index]
+            if key == "dim":
+                entry["shape"] = [value, *entry["shape"][1:]]
+            elif key in entry:
+                entry[key] = value
+            else:
+                meta[key] = value
+            return json.dumps(meta).encode()
+
+        self._rewrite_meta(path, edit)
+        with contextlib.suppress(tr.CheckpointError):
             tr.load_checkpoint(path)
 
     def test_atomic_save(self, tmp_path):
@@ -350,6 +406,18 @@ class TestTrainStage:
         assert trace[0].loss == 0.0
         for n, t in params.named_params():
             assert (t.data == before[n]).all()
+
+    @pytest.mark.parametrize(
+        "stage, parts",
+        [(1, {"encoder", "fusion", "branch1"}), (2, {"branch2"}), (3, {"encoder", "fusion", "branch1", "branch2"})],
+    )
+    def test_stage_fits_only_its_parts(self, tiny_setup, stage, parts):
+        cohort, sa = tiny_setup
+        params = tr.ModelParams.init(4, seed=2)
+        before = {n: t.data.copy() for n, t in params.named_params()}
+        tr.train_stage(stage, cohort, sa.atlas, sa.table, PRIOR, tr.TrainConfig(epochs=1, batch=12), params)
+        changed = {n.split(".")[0] for n, t in params.named_params() if not (t.data == before[n]).all()}
+        assert changed == parts
 
     def test_stage1_loss_decreases_on_separable_cohort(self, tiny_setup):
         cohort, sa = tiny_setup
@@ -418,7 +486,6 @@ class TestModelParams:
         for (na, a), (nb, b) in zip(params.named_params(), clone.named_params()):
             assert na == nb and b.requires_grad
             assert a.data.tobytes() == b.data.tobytes() and not np.shares_memory(a.data, b.data)
-        assert clone.branch1.name == "branch1" and clone.branch2.name == "branch2"
 
     def test_frozen_shares_arrays_and_needs_no_grad(self):
         params = tr.ModelParams.init(4, seed=5)
@@ -426,6 +493,15 @@ class TestModelParams:
         for (na, a), (nb, b) in zip(params.named_params(), frozen.named_params()):
             assert na == nb and not b.requires_grad
             assert b.data is a.data
+
+    def test_names_are_the_checkpoint_array_names_in_order(self):
+        names = [n for n, _ in tr.ModelParams.init(4, seed=0).named_params()]
+        assert names == [
+            "encoder.conv1_w", "encoder.conv1_b", "encoder.conv2_w", "encoder.conv2_b",
+            "fusion.weight", "fusion.bias",
+            "branch1.conv_w", "branch1.conv_b", "branch1.head_w", "branch1.head_b",
+            "branch2.conv_w", "branch2.conv_b", "branch2.head_w", "branch2.head_b",
+        ]  # fmt: skip
 
 
 @pytest.fixture(scope="module")
