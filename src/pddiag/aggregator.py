@@ -131,8 +131,8 @@ def encode_dense(volume, params: EncoderParams) -> DenseFeature:
     if any(d % 4 for d in arr.shape):
         raise IndivisibleDims(f"volume dims {arr.shape} must be divisible by 4")
     x = ad.constant(arr[None, :, :, :])
-    h1 = ad.relu(ad.conv3d_down(x, params.conv1_w, params.conv1_b))
-    h2 = ad.relu(ad.conv3d_down(h1, params.conv2_w, params.conv2_b))
+    h1 = ad.conv_relu(x, params.conv1_w, params.conv1_b)
+    h2 = ad.conv_relu(h1, params.conv2_w, params.conv2_b)
     return DenseFeature(node=h2)
 
 

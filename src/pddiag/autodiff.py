@@ -11,6 +11,7 @@ soon as it is dead. All arithmetic is float64 end to end.
 from __future__ import annotations
 
 import functools
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -132,8 +133,36 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-    return Tensor(np.where(mask, a.data, 0.0), parents=(a,), backward=lambda g: (g * mask,))
+    """max(a, 0), with NaN mapped to 0 and -0.0 to +0.0, as np.where(a > 0, a, 0.0).
+
+    When ``a`` needs a gradient the mask a > 0 is kept for backward. Otherwise
+    the result is one fresh array and no mask is made; ``a`` is never written.
+    """
+    if a.requires_grad:
+        mask = a.data > 0.0
+        return Tensor(np.where(mask, a.data, 0.0), parents=(a,), backward=lambda g: (g * mask,))
+    return Tensor(_relu_values(a.data))
+
+
+def _relu_values(a: Array, out: Array | None = None) -> Array:
+    # fmax maps NaN to 0 but may keep -0.0 for -0.0; adding +0.0 turns that
+    # into +0.0, so the result is bitwise np.where(a > 0, a, 0.0)
+    out = np.fmax(a, 0.0, out=out)
+    out += 0.0
+    return out
+
+
+def conv_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """relu(conv3d_down(x, w, b)).
+
+    Without a gradient the ReLU runs in place in the conv's fresh output,
+    which nothing else holds, so the pair allocates one activation array.
+    """
+    h = conv3d_down(x, w, b)
+    if h.requires_grad:
+        return relu(h)
+    _relu_values(h.data, out=h.data)
+    return h
 
 
 def pick(a: Tensor, index: int) -> Tensor:
@@ -220,6 +249,30 @@ def _tap_index(slab_shape: tuple, ho: int, wo: int) -> Array:
     return idx
 
 
+def _new_scratch(cin: int, nb: int, h: int, wd: int) -> tuple[Array, Array, Array]:
+    """A zero slab for nb output planes of a (cin, *, h, wd) input, its tap view and a column buffer."""
+    slab = np.zeros((cin, _S * nb + 1, h + 2 * _P, wd + 2 * _P))
+    ho, wo = _conv_out_dim(h), _conv_out_dim(wd)
+    return slab, _tap_view(slab, nb, ho, wo), np.empty(cin * 27 * nb * ho * wo)
+
+
+_local = threading.local()
+
+
+def _no_grad_scratch(cin: int, nb: int, h: int, wd: int) -> tuple[Array, Array, Array]:
+    """_new_scratch, kept per thread for the 8 most recent shapes.
+
+    A forward-only conv overwrites the slab's interior planes and zeroes the
+    planes past the input, and never writes the padding rows and columns,
+    so a kept slab stays zero-bordered from call to call.
+    """
+    try:
+        cached = _local.scratch
+    except AttributeError:
+        cached = _local.scratch = functools.lru_cache(maxsize=8)(_new_scratch)
+    return cached(cin, nb, h, wd)
+
+
 def conv3d_down(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """3-D convolution, kernel 3, stride 2, zero padding 1.
 
@@ -229,10 +282,13 @@ def conv3d_down(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     im2col one block of output planes at a time: the input planes a block
     reads are copied into a zero-padded slab, the 27 taps are gathered from
     the slab into the block's columns, and one GEMM per block writes the
-    output. When x, w or b needs a gradient the whole output is one block and
-    its columns are kept for backward. Otherwise a block holds about
-    _BLOCK_BYTES of columns, so the GEMM reads them while they are in cache,
-    and the slab and column buffers are reused from block to block.
+    output. When x, w or b needs a gradient the whole output is one block,
+    and the slab and columns are allocated per call, since the columns are
+    kept for backward. Otherwise a block holds about _BLOCK_BYTES of columns,
+    so the GEMM reads them while they are in cache, and the slab, its tap
+    view and the column buffer are reused from block to block and, per
+    thread, from call to call of the same shape (_no_grad_scratch). Only the
+    output is fresh, so a forward-only pass keeps a steady working set.
 
     Backward scatters the column gradients onto a zeroed slab (col2im) with
     one np.add.at over a cached, read-only index of each column entry's slab
@@ -246,12 +302,13 @@ def conv3d_down(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     do, ho, wo = _conv_out_dim(d), _conv_out_dim(h), _conv_out_dim(wd)
     plane = ho * wo
     needs_grad = x.requires_grad or w.requires_grad or b.requires_grad
-    nb = do if needs_grad else min(do, max(1, _BLOCK_BYTES // (cin * 27 * plane * 8)))
-
-    slab = np.zeros((cin, _S * nb + 1, h + 2 * _P, wd + 2 * _P))
+    if needs_grad:
+        nb = do
+        slab, taps, col_buf = _new_scratch(cin, nb, h, wd)
+    else:
+        nb = min(do, max(1, _BLOCK_BYTES // (cin * 27 * plane * 8)))
+        slab, taps, col_buf = _no_grad_scratch(cin, nb, h, wd)
     slab_shape = slab.shape  # backward needs only the shape, not the slab itself
-    taps = _tap_view(slab, nb, ho, wo)
-    col_buf = np.empty(cin * 27 * nb * plane)
     wmat = w.data.reshape(cout, cin * 27)
     out = np.empty((cout, do, ho, wo))
     out2d = out.reshape(cout, do * plane)
@@ -266,9 +323,10 @@ def conv3d_down(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         cols = col_buf[: cin * 27 * n * plane].reshape(cin, _K, _K, _K, n, ho, wo)
         np.copyto(cols, taps[:, :, :, :, :n])
         cols2d = cols.reshape(cin * 27, n * plane)
-        block = out2d[:, o0 * plane : (o0 + n) * plane]
-        np.matmul(wmat, cols2d, out=block)
-        block += b.data[:, None]
+        np.matmul(wmat, cols2d, out=out2d[:, o0 * plane : (o0 + n) * plane])
+    # once over the whole output: on a strided block the broadcast add is
+    # buffered through a temporary and costs about as much as on all of out
+    out2d += b.data[:, None]
 
     def back(g):
         g2d = g.reshape(cout, do * plane)

@@ -76,22 +76,35 @@ def write_predictions(records: list[PredictionRecord], path) -> None:
 
 
 def read_predictions(path) -> list[PredictionRecord]:
+    """Read a predictions CSV as ``write_predictions`` writes it.
+
+    A malformed file raises ValueError naming the file and the line.
+    """
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != PREDICTION_FIELDS:
-            raise ValueError(f"{path}: expected header {','.join(PREDICTION_FIELDS)}")
-        for row in reader:
-            records.append(
-                PredictionRecord(
-                    subject_id=row["subject_id"],
-                    label=Label(row["label"]) if row["label"] else None,
-                    p_pd=float(row["p_pd"]),
-                    delta=float(row["delta"]),
-                    predicted_age=float(row["predicted_age"]),
-                    decision=Label(row["decision"]),
+        try:
+            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != PREDICTION_FIELDS:
+                raise ValueError(f"expected header {','.join(PREDICTION_FIELDS)}, got {reader.fieldnames}")
+            reader.fieldnames = PREDICTION_FIELDS
+            for row in reader:
+                if None in row or None in row.values():
+                    raise ValueError(f"expected {len(PREDICTION_FIELDS)} fields, got {row}")
+                p_pd = float(row["p_pd"])
+                if not 0.0 <= p_pd <= 1.0:
+                    raise ValueError(f"p_pd must lie in [0, 1], got {row['p_pd']!r}")
+                records.append(
+                    PredictionRecord(
+                        subject_id=row["subject_id"],
+                        label=Label(row["label"]) if row["label"] else None,
+                        p_pd=p_pd,
+                        delta=float(row["delta"]),
+                        predicted_age=float(row["predicted_age"]),
+                        decision=Label(row["decision"]),
+                    )
                 )
-            )
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
     return records
 
 
@@ -184,6 +197,7 @@ def cmd_train(args) -> int:
             "channels": ("model", "channels"),
         },
     )
+    config = cfg.train_config()  # rejects bad settings before anything is written
     cohort, atlas, table = _load_data(cfg, args)
     stage = int(cfg.get("train", "stage"))
     out_dir = Path(args.out_dir)
@@ -197,7 +211,7 @@ def cmd_train(args) -> int:
         params, _, _ = load_checkpoint(prev)
     else:
         raise ValueError(f"stage must be 1, 2, or 3, got {stage}")
-    params, trace = train_stage(stage, cohort, atlas, table, cfg.prior(), cfg.train_config(), params)
+    params, trace = train_stage(stage, cohort, atlas, table, cfg.prior(), config, params)
     ckpt = out_dir / f"stage{stage}.ckpt"
     save_checkpoint_atomic(params, None, ckpt, stage=stage, config_hash=cfg.digest())
     trace_path = out_dir / f"stage{stage}_trace.csv"

@@ -82,7 +82,7 @@ class BranchParams:
 def _branch_features(fused: DenseFeature, params: BranchParams) -> Tensor:
     if params.conv_w.data.shape[1] != fused.channels:
         raise ShapeMismatch(f"branch expects {params.conv_w.data.shape[1]} channels, fused has {fused.channels}")
-    h = ad.relu(ad.conv3d_down(fused.node, params.conv_w, params.conv_b))
+    h = ad.conv_relu(fused.node, params.conv_w, params.conv_b)
     return ad.global_avg_pool(h)
 
 

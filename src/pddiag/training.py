@@ -213,6 +213,16 @@ class TrainConfig:
     weight_decay: float = 1e-3
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch < 1:
+            raise ValueError(f"batch must be >= 1, got {self.batch}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+
 
 @dataclass
 class EpochTrace:

@@ -95,7 +95,9 @@ class Volume3D:
         self.data = np.ascontiguousarray(self.data, dtype=np.float64)
         if self.data.shape != tuple(self.header.dims):
             raise ValueError(f"data shape {self.data.shape} != header dims {self.header.dims}")
-        if not np.isfinite(self.data).all():
+        # min and max propagate NaN and +-inf, so this needs no voxel-sized
+        # mask; the header's dims >= 1 keep the array non-empty
+        if not (np.isfinite(self.data.min()) and np.isfinite(self.data.max())):
             raise NonFiniteData("volume contains NaN or Inf")
 
     @property

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,30 @@ class TestConv:
         with pytest.raises(ValueError):
             idx[0] = 0
 
+    @pytest.mark.parametrize("shape", CONV_CASES[1:3], ids=lambda s: "x".join(map(str, s)))
+    def test_consecutive_no_grad_convs_are_independent(self, shape):
+        # both calls take the same kept slab and columns; the first call's
+        # input must not leak into the second, nor its output be overwritten
+        outs = [ad.conv3d_down(*conv_inputs(shape, GRAD_FLAGS["no-grad"], seed)[1]) for seed in (0, 1)]
+        assert not np.shares_memory(outs[0].data, outs[1].data)
+        for seed, out in enumerate(outs):
+            grad_path = ad.conv3d_down(*conv_inputs(shape, GRAD_FLAGS["w-grad"], seed)[1])
+            np.testing.assert_array_equal(out.data, grad_path.data)
+
+    def test_no_grad_scratch_is_bounded(self):
+        for edge in range(4, 16):
+            ad.conv3d_down(*conv_inputs((1, 2, edge, edge), GRAD_FLAGS["no-grad"])[1])
+        assert ad._local.scratch.cache_info().currsize <= 8
+
+    @pytest.mark.parametrize("shape", CONV_CASES, ids=lambda s: "x".join(map(str, s)))
+    def test_conv_relu_equals_relu_of_conv(self, shape):
+        (x, _, _), const = conv_inputs(shape, GRAD_FLAGS["no-grad"])
+        _, grad = conv_inputs(shape, GRAD_FLAGS["w-grad"])
+        out = ad.conv_relu(*const)
+        assert out.data.tobytes() == ad.relu(ad.conv3d_down(*grad)).data.tobytes()
+        assert ad.conv_relu(*grad).data.tobytes() == out.data.tobytes()
+        assert const[0].data.tobytes() == x.tobytes()
+
     def test_output_shape_halves(self):
         x = ad.constant(np.zeros((1, 8, 8, 8)))
         w = ad.constant(np.zeros((4, 1, 3, 3, 3)))
@@ -193,6 +219,69 @@ class TestPrimitives:
         assert gradient_check(loss, [w, b], probe_count=30, seed=4) < 1e-7
 
 
+RELU_SPECIALS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0]
+
+
+def relu_reference(a):
+    return np.where(a > 0, a, 0.0)
+
+
+class TestNoGradRelu:
+    """relu on a constant and conv_relu's in-place ReLU, against np.where bit for bit."""
+
+    @staticmethod
+    def values(n, seed=0):
+        rng = np.random.default_rng(seed)
+        specials = rng.choice(RELU_SPECIALS, size=n)
+        return np.where(rng.random(n) < 0.5, specials, rng.standard_normal(n))
+
+    @pytest.mark.parametrize("n", [*range(1, 71), 127, 128, 129])
+    def test_bitwise_equals_where(self, n):
+        a = self.values(n, seed=n)
+        want = relu_reference(a).tobytes()
+        assert ad.relu(ad.constant(a)).data.tobytes() == want
+        inplace = a.copy()
+        ad._relu_values(inplace, out=inplace)
+        assert inplace.tobytes() == want
+
+    def test_every_special_value(self):
+        a = np.array(RELU_SPECIALS)
+        got = ad.relu(ad.constant(a)).data
+        assert got.tobytes() == relu_reference(a).tobytes()
+        assert not np.signbit(got).any() and not np.isnan(got).any()
+
+    @pytest.mark.parametrize(
+        "view",
+        [lambda a: a[::2], lambda a: a[::-1], lambda a: a[3:-3:3], lambda a: a.reshape(10, 13).T, lambda a: a[7]],
+        ids=["step2", "reversed", "offset-step3", "transposed", "0-d"],
+    )
+    def test_strided_and_0d_views(self, view):
+        a = view(self.values(130, seed=7))
+        assert ad.relu(ad.constant(a)).data.tobytes() == relu_reference(a).tobytes()
+
+    @pytest.mark.parametrize("value", RELU_SPECIALS)
+    def test_0d_specials(self, value):
+        a = np.array(value)
+        assert ad.relu(ad.constant(a)).data.tobytes() == relu_reference(a).tobytes()
+
+    def test_input_left_untouched(self):
+        x = self.values(129, seed=3)
+        before = x.tobytes()
+        ad.relu(ad.constant(x))
+        assert x.tobytes() == before
+
+    def test_keeps_no_mask_or_closure(self):
+        a = ad.constant(np.random.default_rng(0).standard_normal(100_000))
+        tracemalloc.start()
+        try:
+            out = ad.relu(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out._parents == () and out._backward is None
+        assert peak <= out.data.nbytes + 4096
+
+
 class TestEngine:
     def test_backward_requires_scalar(self):
         with pytest.raises(ValueError):
@@ -213,7 +302,7 @@ class TestEngine:
     def test_no_grad_results_keep_no_graph(self):
         x = ad.constant(np.ones((1, 4, 4, 4)))
         w, b = ad.constant(np.ones((2, 1, 3, 3, 3))), ad.constant(np.zeros(2))
-        for out in (ad.relu(ad.conv3d_down(x, w, b)), ad.add(x, x), tsum(x)):
+        for out in (ad.relu(ad.conv3d_down(x, w, b)), ad.conv_relu(x, w, b), ad.add(x, x), tsum(x)):
             assert not out.requires_grad
             assert out._parents == () and out._backward is None
         tracked = ad.conv3d_down(x, ad.parameter(w.data), b)

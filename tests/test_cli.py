@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pddiag.cli import main, read_predictions
+from pddiag.cli import PREDICTION_FIELDS, main, read_predictions
 from pddiag.config import ConfigError, RunConfig, load_config
 from pddiag.preprocess import ToolConfig
 from pddiag.priors import AgingPriorParams
@@ -82,6 +85,17 @@ class TestTrainCommand:
         assert code == 1
         assert "stage 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, setting",
+        [("--epochs", 0, "epochs"), ("--batch", 0, "batch"), ("--lr", 0.0, "lr"), ("--weight-decay", -1.0, "weight_decay")],
+    )
+    def test_bad_setting_writes_nothing(self, tmp_path, mini_run, capsys, flag, value, setting):
+        out = tmp_path / "bad"
+        code = run_cli("train", "--stage", 1, "--out-dir", out, flag, value, *mini_run["common"])
+        assert code == 1
+        assert f"error: {setting} must" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_three_checkpoints_written(self, mini_run):
         for stage in (1, 2, 3):
             assert (mini_run["out"] / f"stage{stage}.ckpt").exists()
@@ -150,6 +164,58 @@ class TestPredictEvaluateReport:
         last = lines[-1].split(",")
         assert float(last[0]) == 1.0 and float(last[1]) == 1.0
         assert "confusion matrix" in capsys.readouterr().out
+
+
+PREDICTION_HEADER = ",".join(PREDICTION_FIELDS)
+
+
+class TestReadPredictions:
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("s2,pd,0.9,1.0", "expected 6 fields"),  # short row
+            ("s2,pd,0.9,1.0,66.0,pd,extra", "expected 6 fields"),  # long row
+            ("s2,pd,high,1.0,66.0,pd", "high"),
+            ("s2,pd,nan,1.0,66.0,pd", "p_pd must lie in"),
+            ("s2,pd,1.5,1.0,66.0,pd", "p_pd must lie in"),
+            ("s2,pd,0.9,far,66.0,pd", "far"),
+            ("s2,pd,0.9,1.0,old,pd", "old"),
+            ("s2,maybe,0.9,1.0,66.0,pd", "maybe"),
+            ("s2,pd,0.9,1.0,66.0,", "''"),
+        ],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "pred.csv"
+        path.write_text("\n".join([PREDICTION_HEADER, "s1,other,0.1,0.0,65.0,other", row]) + "\n")
+        with pytest.raises(ValueError, match=message) as info:
+            read_predictions(path)
+        assert f"{path}, line 3: " in str(info.value)
+
+    def test_wrong_header(self, tmp_path):
+        path = tmp_path / "pred.csv"
+        path.write_text("id,label,p,delta,age,decision\ns1,pd,0.9,1.0,66.0,pd\n")
+        with pytest.raises(ValueError, match="expected header"):
+            read_predictions(path)
+
+
+FIELD = st.sampled_from(["s1", "pd", "other", "", "0.5", "1.5", "-3", "nan", "1e400", '"', "\r"])
+
+
+class TestMalformedPredictions:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        body=st.one_of(
+            st.lists(st.lists(FIELD | st.text(max_size=6), max_size=8).map(",".join), max_size=5).map(
+                lambda rows: "\n".join([PREDICTION_HEADER, *rows]).encode()
+            ),
+            st.binary(max_size=200),
+        )
+    )
+    def test_only_value_errors_escape(self, tmp_path_factory, body):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_predictions.csv"
+        path.write_bytes(body)
+        with contextlib.suppress(ValueError):
+            read_predictions(path)
 
 
 class TestSplitCommand:

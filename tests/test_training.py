@@ -1,6 +1,9 @@
 import contextlib
 import json
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -366,6 +369,23 @@ class TestCheckpoints:
         assert not (tmp_path / "m.ckpt.tmp").exists()
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "setting, value",
+        [
+            ("epochs", 0), ("epochs", -1), ("batch", 0), ("batch", -4),
+            ("lr", 0.0), ("lr", -1e-3), ("lr", math.nan), ("lr", math.inf),
+            ("weight_decay", -1e-3), ("weight_decay", math.nan), ("weight_decay", math.inf),
+        ],
+    )  # fmt: skip
+    def test_bad_setting_is_named(self, setting, value):
+        with pytest.raises(ValueError, match=f"^{setting} must"):
+            tr.TrainConfig(**{setting: value})
+
+    def test_smallest_valid_settings(self):
+        tr.TrainConfig(epochs=1, batch=1, lr=5e-324, weight_decay=0.0)
+
+
 class TestTrainStage:
     def test_invalid_stage(self, tiny_setup):
         cohort, sa = tiny_setup
@@ -383,7 +403,7 @@ class TestTrainStage:
         with pytest.raises(tr.EmptyCohort, match="healthy"):
             tr.train_stage(2, no_healthy, sa.atlas, sa.table, PRIOR, tr.TrainConfig(epochs=1), tr.ModelParams.init(4, 0))
 
-    def test_stage2_zero_lr_identity_at_exact_fit(self, tiny_setup):
+    def test_stage2_identity_at_exact_fit(self, tiny_setup):
         _, sa = tiny_setup
         subjects = [
             SubjectRecord(
@@ -400,8 +420,9 @@ class TestTrainStage:
             t.data[:] = 0.0
         params.branch2.head_b.data[:] = 65.0  # already exact: every subject is 65
         before = {n: t.data.copy() for n, t in params.named_params()}
+        # every gradient is exactly 0, so without weight decay AdamW moves nothing
         _, trace = tr.train_stage(
-            2, Cohort(subjects), sa.atlas, sa.table, PRIOR, tr.TrainConfig(epochs=2, lr=0.0), params
+            2, Cohort(subjects), sa.atlas, sa.table, PRIOR, tr.TrainConfig(epochs=2, weight_decay=0.0), params
         )
         assert trace[0].loss == 0.0
         for n, t in params.named_params():
@@ -535,8 +556,58 @@ class TestStreamingPredict:
             assert pred.p_pd == p_pd
             assert pred.delta == loss.delta
 
+    def test_two_threads_give_the_serial_results(self, manifest_setup):
+        manifest, atlas, table = manifest_setup
+        params = tr.ModelParams.init(4, seed=1)
+        serial = tr.predict(params, read_manifest(manifest), atlas, table, PRIOR)
+        results, start = {}, threading.Barrier(2)
+
+        def screen(k):
+            start.wait()
+            results[k] = [tr.predict(params, read_manifest(manifest), atlas, table, PRIOR) for _ in range(3)]
+
+        threads = [threading.Thread(target=screen, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results) == [0, 1]
+        for runs in results.values():
+            for records in runs:
+                assert [(r.p_pd, r.delta) for r in records] == [(r.p_pd, r.delta) for r in serial]
+
     def test_record_without_volume_or_path(self, tiny_setup):
         _, sa = tiny_setup
         orphan = Cohort([SubjectRecord("s0", 60.0, Label.PD)])
         with pytest.raises(ValueError, match="no volume and no path"):
             tr.predict(tr.ModelParams.init(4, seed=0), orphan, sa.atlas, sa.table, PRIOR)
+
+
+@pytest.fixture(scope="module")
+def scan64(tmp_path_factory):
+    root = tmp_path_factory.mktemp("scan64")
+    assert cli_main(["synth", "--out", str(root), "--n", "2", "--dims", "64", "--seed", "3"]) == 0
+    table = load_relevance_table(root / "relevance.csv")
+    return read_manifest(root / "manifest.csv"), read_atlas(root / "atlas.nii", region_count=table.region_count), table
+
+
+class TestPredictMemory:
+    def test_peak_per_64_cube_subject(self, scan64):
+        # about one 2 MB volume, the 1 MB first activation and the 0.26 MB
+        # second; 4.3 MB with a ReLU mask and a second activation per conv
+        cohort, atlas, table = scan64
+        params = tr.ModelParams.init(8, seed=3)
+        tr.predict(params, cohort, atlas, table, PRIOR)  # keeps the conv scratch of each shape
+        tracemalloc.start()
+        try:
+            tr.predict(params, cohort.subset([1]), atlas, table, PRIOR)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5e6

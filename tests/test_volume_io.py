@@ -195,6 +195,20 @@ class TestReadWrite:
         with pytest.raises(vio.NonFiniteData, match="n.nii"):
             vio.read_volume(path)
 
+    @pytest.mark.parametrize("byte_order", ["<", ">"])
+    @pytest.mark.parametrize("where", [0, 12, 23], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_one_non_finite_voxel_rejected(self, tmp_path, bad, where, byte_order):
+        payload = np.arange(24, dtype=byte_order + "f4")
+        payload[where] = bad
+        path = tmp_path / "one.nii"
+        header = build_header_bytes(dims_xyz=(4, 3, 2), byte_order=byte_order)
+        path.write_bytes(header + b"\x00" * 4 + payload.tobytes())
+        with pytest.raises(vio.NonFiniteData, match="one.nii"):
+            vio.read_volume(path)
+        with pytest.raises(vio.NonFiniteData):
+            vio.Volume3D.from_array(payload.astype(np.float64).reshape(2, 3, 4))
+
     @pytest.mark.parametrize("read", [vio.read_volume, vio.read_atlas], ids=lambda f: f.__name__)
     def test_oversized_header_is_truncated_data(self, tmp_path, read):
         # 32767³ voxels: reading before checking the file size ran out of memory
