@@ -153,14 +153,20 @@ def _relu_values(a: Array, out: Array | None = None) -> Array:
 
 
 def conv_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """relu(conv3d_down(x, w, b)).
+    """relu(conv3d_down(x, w, b)), bit for bit, as one graph node.
 
-    Without a gradient the ReLU runs in place in the conv's fresh output,
-    which nothing else holds, so the pair allocates one activation array.
+    The ReLU runs in place in the conv's fresh output, which nothing else
+    holds (the conv's backward reads its columns, not its output), so the
+    pair allocates one activation array. With a gradient the mask of the
+    positive pre-activations is kept and the conv's own backward is wrapped
+    to take g * mask: the result keeps the conv's parents (x, w, b), and no
+    separate relu node, copy or closure is made.
     """
     h = conv3d_down(x, w, b)
     if h.requires_grad:
-        return relu(h)
+        mask = h.data > 0.0
+        back = h._backward
+        h._backward = lambda g: back(g * mask)
     _relu_values(h.data, out=h.data)
     return h
 
@@ -249,28 +255,31 @@ def _tap_index(slab_shape: tuple, ho: int, wo: int) -> Array:
     return idx
 
 
-def _new_scratch(cin: int, nb: int, h: int, wd: int) -> tuple[Array, Array, Array]:
-    """A zero slab for nb output planes of a (cin, *, h, wd) input, its tap view and a column buffer."""
+def _new_scratch(cin: int, nb: int, h: int, wd: int, with_cols: bool) -> tuple[Array, Array, Array | None]:
+    """A zero slab for nb output planes of a (cin, *, h, wd) input, its tap view and, if asked, a column buffer."""
     slab = np.zeros((cin, _S * nb + 1, h + 2 * _P, wd + 2 * _P))
     ho, wo = _conv_out_dim(h), _conv_out_dim(wd)
-    return slab, _tap_view(slab, nb, ho, wo), np.empty(cin * 27 * nb * ho * wo)
+    cols = np.empty(cin * 27 * nb * ho * wo) if with_cols else None
+    return slab, _tap_view(slab, nb, ho, wo), cols
 
 
 _local = threading.local()
 
 
-def _no_grad_scratch(cin: int, nb: int, h: int, wd: int) -> tuple[Array, Array, Array]:
+def _kept_scratch(cin: int, nb: int, h: int, wd: int, with_cols: bool) -> tuple[Array, Array, Array | None]:
     """_new_scratch, kept per thread for the 8 most recent shapes.
 
-    A forward-only conv overwrites the slab's interior planes and zeroes the
-    planes past the input, and never writes the padding rows and columns,
-    so a kept slab stays zero-bordered from call to call.
+    A conv overwrites the slab's interior planes and zeroes the planes past
+    the input, and never writes the padding rows and columns, so a kept
+    slab stays zero-bordered from call to call. The slab is dead once the
+    forward has gathered its columns, so one slab can serve every conv of
+    its shape in a graph.
     """
     try:
         cached = _local.scratch
     except AttributeError:
         cached = _local.scratch = functools.lru_cache(maxsize=8)(_new_scratch)
-    return cached(cin, nb, h, wd)
+    return cached(cin, nb, h, wd, with_cols)
 
 
 def conv3d_down(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -282,13 +291,14 @@ def conv3d_down(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     im2col one block of output planes at a time: the input planes a block
     reads are copied into a zero-padded slab, the 27 taps are gathered from
     the slab into the block's columns, and one GEMM per block writes the
-    output. When x, w or b needs a gradient the whole output is one block,
-    and the slab and columns are allocated per call, since the columns are
-    kept for backward. Otherwise a block holds about _BLOCK_BYTES of columns,
-    so the GEMM reads them while they are in cache, and the slab, its tap
-    view and the column buffer are reused from block to block and, per
-    thread, from call to call of the same shape (_no_grad_scratch). Only the
-    output is fresh, so a forward-only pass keeps a steady working set.
+    output. The slab and its tap view are kept per thread and shape
+    (_kept_scratch) and reused from call to call. When x, w or b needs a
+    gradient the whole output is one block and its columns are allocated
+    per call, since backward reads them. Otherwise a block holds about
+    _BLOCK_BYTES of columns, so the GEMM reads them while they are in cache,
+    and the column buffer is kept with the slab and reused from block to
+    block and call to call; only the output is fresh, so a forward-only pass
+    keeps a steady working set.
 
     Backward scatters the column gradients onto a zeroed slab (col2im) with
     one np.add.at over a cached, read-only index of each column entry's slab
@@ -304,10 +314,11 @@ def conv3d_down(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     needs_grad = x.requires_grad or w.requires_grad or b.requires_grad
     if needs_grad:
         nb = do
-        slab, taps, col_buf = _new_scratch(cin, nb, h, wd)
+        slab, taps, _ = _kept_scratch(cin, nb, h, wd, False)
+        col_buf = np.empty(cin * 27 * nb * plane)
     else:
         nb = min(do, max(1, _BLOCK_BYTES // (cin * 27 * plane * 8)))
-        slab, taps, col_buf = _no_grad_scratch(cin, nb, h, wd)
+        slab, taps, col_buf = _kept_scratch(cin, nb, h, wd, True)
     slab_shape = slab.shape  # backward needs only the shape, not the slab itself
     wmat = w.data.reshape(cout, cin * 27)
     out = np.empty((cout, do, ho, wo))

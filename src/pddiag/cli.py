@@ -12,6 +12,7 @@ import csv
 import sys
 from pathlib import Path
 
+from .atomic import replacing
 from .cohort import Cohort, read_manifest, write_manifest
 from .config import RunConfig, load_config
 from .diagnoser import Label
@@ -59,7 +60,7 @@ def _load_data(cfg: RunConfig, args):
 
 
 def write_predictions(records: list[PredictionRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with replacing(path) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PREDICTION_FIELDS)
         for r in records:
@@ -201,16 +202,22 @@ def cmd_train(args) -> int:
     cohort, atlas, table = _load_data(cfg, args)
     stage = int(cfg.get("train", "stage"))
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if stage == 1:
         params = ModelParams.init(int(cfg.get("model", "channels")), seed=int(cfg.get("train", "seed")))
     elif stage in (2, 3):
         prev = out_dir / f"stage{stage - 1}.ckpt"
         if not prev.exists():
             raise FileNotFoundError(f"stage {stage} requires the stage {stage - 1} checkpoint at {prev}; train it first")
-        params, _, _ = load_checkpoint(prev)
+        params, _, meta = load_checkpoint(prev)
+        # the config hash is not compared: [train] stage and epochs differ between stage runs
+        if meta.get("stage") != stage - 1:
+            raise ValueError(f"{prev} records stage {meta.get('stage')}, expected {stage - 1}")
+        channels = int(cfg.get("model", "channels"))
+        if params.channels != channels:
+            raise ValueError(f"{prev} has {params.channels} channels, [model] channels is {channels}")
     else:
         raise ValueError(f"stage must be 1, 2, or 3, got {stage}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     params, trace = train_stage(stage, cohort, atlas, table, cfg.prior(), config, params)
     ckpt = out_dir / f"stage{stage}.ckpt"
     save_checkpoint_atomic(params, None, ckpt, stage=stage, config_hash=cfg.digest())
@@ -273,7 +280,7 @@ def cmd_evaluate(args) -> int:
         text = _fold_summary(folds)
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w") as fh:
+        with replacing(args.out) as tmp, open(tmp, "w") as fh:
             fh.write(text)
         print(f"metrics: {args.out}")
     return 0
@@ -297,7 +304,7 @@ def cmd_report(args) -> int:
     print(f"other    {metrics.fp:4d}    {metrics.tn:4d}")
     if args.out_roc:
         pts = roc_points([r.p_pd for r in records], [r.label for r in records])
-        with open(args.out_roc, "w", newline="") as fh:
+        with replacing(args.out_roc) as tmp, open(tmp, "w", newline="") as fh:
             fh.write("fpr,tpr,threshold\n")
             for fpr, tpr, thr in pts:
                 fh.write(f"{fpr!r},{tpr!r},{thr!r}\n")

@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .atomic import replacing
 from .diagnoser import Label
 from .volume_io import Volume3D, read_volume
 
@@ -64,7 +65,7 @@ MANIFEST_FIELDS = ["subject_id", "path", "age", "label", "is_healthy"]
 
 
 def write_manifest(cohort: Cohort, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with replacing(path) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_FIELDS)
         for s in cohort:

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import replacing
+
 
 class RelevanceClass(enum.Enum):
     STRONG = "strong"
@@ -92,6 +94,8 @@ class RegionEntry:
 @dataclass(frozen=True)
 class RelevanceTable:
     entries: tuple[RegionEntry, ...]
+    # theta indexed by region_id - 1, read-only; set from entries
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entries:
@@ -105,14 +109,17 @@ class RelevanceTable:
             raise ValueError(f"region ids must be exactly 1..{len(ids)}, got {sorted(ids)}")
         if ids != expected:
             object.__setattr__(self, "entries", tuple(sorted(self.entries, key=lambda e: e.region_id)))
+        weights = np.array([RELEVANCE_WEIGHTS[e.relevance] for e in self.entries], dtype=np.float64)
+        weights.flags.writeable = False
+        object.__setattr__(self, "_weights", weights)
 
     @property
     def region_count(self) -> int:
         return len(self.entries)
 
     def weights(self) -> np.ndarray:
-        """Theta indexed by region_id - 1; strictly positive."""
-        return np.array([RELEVANCE_WEIGHTS[e.relevance] for e in self.entries], dtype=np.float64)
+        """Theta indexed by region_id - 1; strictly positive, read-only, the same array on every call."""
+        return self._weights
 
 
 def default_relevance_table() -> RelevanceTable:
@@ -148,7 +155,7 @@ def load_relevance_table(path) -> RelevanceTable:
 
 
 def save_relevance_table(table: RelevanceTable, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with replacing(path) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["region_id", "region_name", "relevance"])
         for e in table.entries:

@@ -48,6 +48,7 @@ from .aggregator import (
     upsample_fuse,
     weighted_aggregate,
 )
+from .atomic import replacing
 from .cohort import Cohort, SubjectRecord
 from .diagnoser import BranchParams, Label, ce_loss_node, classify, decide, head, predict_brain_age, total_loss
 from .priors import AgingPriorParams, RelevanceTable, age_gap
@@ -323,7 +324,7 @@ def train_stage(
 
 
 def write_loss_trace(trace: list[EpochTrace], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with replacing(path) as tmp, open(tmp, "w", newline="") as fh:
         fh.write("epoch,loss,age_loss,cls_loss\n")
         for t in trace:
             age = "" if t.age_loss is None else repr(t.age_loss)
@@ -595,6 +596,5 @@ def load_checkpoint(path) -> tuple[ModelParams, OptimState | None, dict]:
 
 
 def save_checkpoint_atomic(params, optim_state, path, stage=None, config_hash=None) -> None:
-    tmp = str(path) + ".tmp"
-    save_checkpoint(params, optim_state, tmp, stage=stage, config_hash=config_hash)
-    os.replace(tmp, path)
+    with replacing(path) as tmp:
+        save_checkpoint(params, optim_state, tmp, stage=stage, config_hash=config_hash)

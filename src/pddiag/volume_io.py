@@ -198,25 +198,39 @@ def _build_header_bytes(header: VolumeHeader) -> bytes:
     return bytes(buf)
 
 
-def _read_payload(path, header: VolumeHeader, dtype_char: str) -> np.ndarray:
-    """Read the payload the header declares, after checking the file holds it.
+# payload bytes read and converted at a time, so the raw payload is never
+# held whole beside the converted array
+_CHUNK_BYTES = 1 << 17
+
+
+def _read_payload(path, header: VolumeHeader, out_dtype) -> np.ndarray:
+    """Read the payload the header declares into a fresh (D, H, W) array of out_dtype.
 
     The size check comes before the read, so a header that declares more
     voxels than memory can hold fails as TruncatedData, not MemoryError.
+    The payload is read in chunks of _CHUNK_BYTES, each converted into the
+    output at once.
     """
+    dtype_char, _ = SUPPORTED_DATATYPES[header.datatype_code]
     d, h, w = header.dims
-    order = "<" if header.endianness == "little" else ">"
-    dt = np.dtype(order + dtype_char)
-    need = d * h * w * dt.itemsize
+    dt = np.dtype(("<" if header.endianness == "little" else ">") + dtype_char)
+    count = d * h * w
+    need = count * dt.itemsize
     with open(path, "rb") as fh:
         have = os.fstat(fh.fileno()).st_size - header.vox_offset
         if have < need:
             raise TruncatedData(f"{path}: payload has {max(have, 0)} bytes, need {need}")
         fh.seek(header.vox_offset)
-        raw = fh.read(need)
-    if len(raw) < need:
-        raise TruncatedData(f"{path}: payload has {len(raw)} bytes, need {need}")
-    return np.frombuffer(raw, dtype=dt).reshape(d, h, w)
+        out = np.empty(count, dtype=out_dtype)
+        chunk = bytearray(min(need, _CHUNK_BYTES))
+        step = len(chunk) // dt.itemsize
+        for i in range(0, count, step):
+            n = min(step, count - i)
+            got = fh.readinto(memoryview(chunk)[: n * dt.itemsize])
+            if got < n * dt.itemsize:
+                raise TruncatedData(f"{path}: payload has {i * dt.itemsize + got} bytes, need {need}")
+            out[i : i + n] = np.frombuffer(chunk, dtype=dt, count=n)
+    return out.reshape(d, h, w)
 
 
 def read_volume(path) -> Volume3D:
@@ -224,8 +238,7 @@ def read_volume(path) -> Volume3D:
     with open(path, "rb") as fh:
         header_bytes = fh.read(HEADER_SIZE)
     header = parse_header(header_bytes)
-    dtype_char, _ = SUPPORTED_DATATYPES[header.datatype_code]
-    data = _read_payload(path, header, dtype_char).astype(np.float64)
+    data = _read_payload(path, header, np.float64)
     try:
         return Volume3D(header=header, data=data)
     except NonFiniteData as exc:
@@ -271,8 +284,7 @@ def read_atlas(path, region_count: int | None = None) -> AtlasVolume:
         header = parse_header(fh.read(HEADER_SIZE))
     if header.datatype_code not in (DTYPE_UINT8, DTYPE_INT16):
         raise UnsupportedDatatype(f"atlas requires an integer datatype, file has code {header.datatype_code}")
-    dtype_char, _ = SUPPORTED_DATATYPES[header.datatype_code]
-    labels = _read_payload(path, header, dtype_char).astype(np.int64)
+    labels = _read_payload(path, header, np.int64)
     r = int(labels.max()) if region_count is None else int(region_count)
     return AtlasVolume(labels=labels, region_count=r, voxel_size=header.voxel_size)
 

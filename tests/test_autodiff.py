@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -125,6 +126,60 @@ class TestConv:
         assert out.data.tobytes() == ad.relu(ad.conv3d_down(*grad)).data.tobytes()
         assert ad.conv_relu(*grad).data.tobytes() == out.data.tobytes()
         assert const[0].data.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("shape", CONV_CASES, ids=lambda s: "x".join(map(str, s)))
+    def test_conv_relu_with_grad_equals_relu_of_conv(self, shape):
+        (x, w, b), _ = conv_inputs(shape, GRAD_FLAGS["no-grad"])
+        w[0], b[0] = 0.0, 0.0  # output channel 0 has exact-zero pre-activations
+        coeff = np.random.default_rng(2).standard_normal(ad.conv3d_down(*map(ad.constant, (x, w, b))).shape)
+        results = []
+        for op in (ad.conv_relu, lambda *t: ad.relu(ad.conv3d_down(*t))):
+            tensors = [ad.parameter(a) for a in (x, w, b)]
+            out = op(*tensors)
+            ad.backward(tsum(ad.mul(out, ad.constant(coeff))))
+            results.append([out.data.tobytes()] + [t.grad.tobytes() for t in tensors])
+        assert (np.frombuffer(results[0][0])[: coeff[0].size] == 0.0).all()
+        assert results[0] == results[1]
+
+    def test_conv_relu_with_grad_is_one_node_over_conv_inputs(self):
+        x, w, b = (ad.parameter(a) for a in conv_inputs(CONV_CASES[0], GRAD_FLAGS["no-grad"])[0])
+        out = ad.conv_relu(x, w, b)
+        assert len(out._parents) == 3 and all(p is q for p, q in zip(out._parents, (x, w, b)))
+
+    @pytest.mark.parametrize("shape", CONV_CASES, ids=lambda s: "x".join(map(str, s)))
+    def test_same_shape_grad_convs_in_one_graph(self, shape):
+        # both convs take the same kept slab; each must keep its own columns,
+        # so backward after both forwards gives each graph's own gradients
+        def leaves(seed):
+            return [ad.parameter(a) for a in conv_inputs(shape, GRAD_FLAGS["no-grad"], seed)[0]]
+
+        def loss(tensors, seed):
+            out = ad.conv_relu(*tensors)
+            coeff = np.random.default_rng(seed + 10).standard_normal(out.shape)
+            return tsum(ad.mul(out, ad.constant(coeff)))
+
+        joint = [leaves(0), leaves(1)]
+        ad.backward(ad.add(loss(joint[0], 0), loss(joint[1], 1)))
+        for seed, tensors in enumerate(joint):
+            alone = leaves(seed)
+            ad.backward(loss(alone, seed))
+            for t, a in zip(tensors, alone):
+                assert t.grad.tobytes() == a.grad.tobytes()
+
+    def test_scratch_is_bounded_when_grad_and_no_grad_interleave(self):
+        for edge in range(4, 16):
+            for flags in (GRAD_FLAGS["no-grad"], GRAD_FLAGS["w-grad"]):
+                ad.conv3d_down(*conv_inputs((1, 2, edge, edge), flags)[1])
+        assert ad._local.scratch.cache_info().currsize <= 8
+        assert ad._kept_scratch(1, 2, 15, 15, False)[2] is None  # a grad-path entry holds no column buffer
+
+    def test_threads_never_share_a_slab(self):
+        slabs = [ad._kept_scratch(2, 3, 4, 6, False)[0]]
+        worker = threading.Thread(target=lambda: slabs.append(ad._kept_scratch(2, 3, 4, 6, False)[0]))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive() and len(slabs) == 2
+        assert not np.shares_memory(*slabs)
 
     def test_output_shape_halves(self):
         x = ad.constant(np.zeros((1, 8, 8, 8)))

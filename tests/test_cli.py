@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import shutil
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from pddiag.config import ConfigError, RunConfig, load_config
 from pddiag.preprocess import ToolConfig
 from pddiag.priors import AgingPriorParams
 from pddiag.synth import SynthConfig
-from pddiag.training import TrainConfig
+from pddiag.training import TrainConfig, load_checkpoint, save_checkpoint_atomic
 
 
 def tree_digest(root: Path) -> dict:
@@ -84,6 +85,35 @@ class TestTrainCommand:
         )
         assert code == 1
         assert "stage 1" in capsys.readouterr().err
+        assert not (tmp_path / "fresh2").exists()
+
+    @pytest.mark.parametrize(
+        "stage, source, recorded", [(3, "stage1.ckpt", 1), (2, "stage2.ckpt", 2), (2, None, None)]
+    )
+    def test_previous_checkpoint_of_wrong_stage_refused(self, tmp_path, mini_run, capsys, stage, source, recorded):
+        out = tmp_path / "wrong"
+        out.mkdir()
+        prev = out / f"stage{stage - 1}.ckpt"
+        if source is None:  # a checkpoint that records no stage
+            params = load_checkpoint(mini_run["out"] / "stage1.ckpt")[0]
+            save_checkpoint_atomic(params, None, prev)
+        else:
+            shutil.copyfile(mini_run["out"] / source, prev)
+        before = tree_digest(out)
+        code = run_cli("train", "--stage", stage, "--out-dir", out, "--epochs", 1, *mini_run["common"])
+        assert code == 1
+        assert f"records stage {recorded}, expected {stage - 1}" in capsys.readouterr().err
+        assert tree_digest(out) == before
+
+    def test_previous_checkpoint_of_other_width_refused(self, tmp_path, mini_run, capsys):
+        out = tmp_path / "narrow"
+        out.mkdir()
+        shutil.copyfile(mini_run["out"] / "stage1.ckpt", out / "stage1.ckpt")
+        before = tree_digest(out)
+        code = run_cli("train", "--stage", 2, "--out-dir", out, "--channels", 4, *mini_run["common"])
+        assert code == 1
+        assert "has 8 channels, [model] channels is 4" in capsys.readouterr().err
+        assert tree_digest(out) == before
 
     @pytest.mark.parametrize(
         "flag, value, setting",

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pddiag.aggregator import RegionPooled, weighted_aggregate
 from pddiag.priors import (
+    RELEVANCE_WEIGHTS,
     AgingPriorParams,
     RegionEntry,
     RelevanceClass,
@@ -54,6 +56,19 @@ class TestDefaultTable:
         assert (w > 0).all()
         assert w.sum() > 0
         assert w[2] == 1.0 and w[0] == 1e-3 and w[1] == 1e-2
+
+    def test_weights_are_built_once_and_read_only(self):
+        base = default_relevance_table()
+        table = RelevanceTable(tuple(reversed(base.entries)))  # sorted by region id on construction
+        w = table.weights()
+        assert w is table.weights()
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+        want = np.array([RELEVANCE_WEIGHTS[e.relevance] for e in base.entries])
+        assert w.tobytes() == want.tobytes()
+        pooled = RegionPooled(values=np.random.default_rng(0).standard_normal(48))
+        assert weighted_aggregate(pooled, table) == weighted_aggregate(pooled, want)
 
     def test_deterministic(self):
         a, b = default_relevance_table(), default_relevance_table()

@@ -1,5 +1,7 @@
 import contextlib
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +183,37 @@ class TestReadWrite:
         back = vio.read_volume(path)
         assert back.header.endianness == "big"
         assert (back.data == np.arange(24).reshape(2, 3, 4)).all()
+
+    @pytest.mark.parametrize("byte_order", ["<", ">"])
+    @pytest.mark.parametrize("code", [vio.DTYPE_UINT8, vio.DTYPE_INT16, vio.DTYPE_FLOAT32])
+    def test_payload_spanning_chunks_reads_exactly(self, tmp_path, code, byte_order):
+        dims = (11, 50, 301)  # several chunks for every datatype, the last one partial
+        dt = np.dtype(byte_order + vio.SUPPORTED_DATATYPES[code][0])
+        size = dt.itemsize * math.prod(dims)
+        assert size > vio._CHUNK_BYTES and size % vio._CHUNK_BYTES
+        rng = np.random.default_rng(code)
+        if dt.kind == "f":
+            payload = rng.standard_normal(dims).astype(dt)
+        else:
+            payload = rng.integers(np.iinfo(dt).min, np.iinfo(dt).max, size=dims, endpoint=True).astype(dt)
+        path = tmp_path / "chunks.nii"
+        header = build_header_bytes(dims_xyz=dims[::-1], datatype=code, byte_order=byte_order)
+        path.write_bytes(header + b"\x00" * 4 + payload.tobytes())
+        assert vio.read_volume(path).data.tobytes() == payload.astype(np.float64).tobytes()
+
+    def test_read_peak_holds_no_whole_raw_payload(self, tmp_path):
+        # the float64 result takes 2.1 MB; the 1 MB float32 payload beside it
+        # made the peak 3.15 MB
+        path = tmp_path / "v64.nii"
+        vio.write_volume(vio.Volume3D.from_array(np.ones((64, 64, 64))), path, datatype_code=vio.DTYPE_FLOAT32)
+        tracemalloc.start()
+        try:
+            vol = vio.read_volume(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (vol.data == 1.0).all()
+        assert peak <= 2.5e6
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "t.nii"
