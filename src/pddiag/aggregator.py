@@ -31,34 +31,6 @@ class LengthMismatch(ValueError):
     pass
 
 
-@dataclass
-class DenseFeature:
-    """C x (D/4, H/4, W/4) feature grid; ``node`` carries the autodiff graph."""
-
-    node: Tensor
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.node.data
-
-    @property
-    def channels(self) -> int:
-        return self.node.data.shape[0]
-
-    @property
-    def spatial(self) -> tuple[int, int, int]:
-        return self.node.data.shape[1:]
-
-
-@dataclass(frozen=True)
-class RegionPooled:
-    values: np.ndarray  # (R,) per-region mean intensity
-
-    @property
-    def region_count(self) -> int:
-        return self.values.shape[0]
-
-
 @dataclass(frozen=True)
 class AggregatedFeature:
     mean: float
@@ -125,47 +97,47 @@ def _volume_array(volume) -> np.ndarray:
     return np.asarray(volume, dtype=np.float64)
 
 
-def encode_dense(volume, params: EncoderParams) -> DenseFeature:
-    """Encode a (D, H, W) volume to C x D/4 x H/4 x W/4; dims must divide by 4."""
+def encode_dense(volume, params: EncoderParams) -> Tensor:
+    """Encode a (D, H, W) volume to a (C, D/4, H/4, W/4) feature tensor; dims must divide by 4."""
     arr = _volume_array(volume)
     if any(d % 4 for d in arr.shape):
         raise IndivisibleDims(f"volume dims {arr.shape} must be divisible by 4")
     x = ad.constant(arr[None, :, :, :])
     h1 = ad.conv_relu(x, params.conv1_w, params.conv1_b)
-    h2 = ad.conv_relu(h1, params.conv2_w, params.conv2_b)
-    return DenseFeature(node=h2)
+    return ad.conv_relu(h1, params.conv2_w, params.conv2_b)
 
 
-def region_average_pool(volume, atlas: AtlasVolume) -> RegionPooled:
-    """Mean intensity over each region's voxel set, regions 1..R."""
+def region_average_pool(volume, atlas: AtlasVolume) -> np.ndarray:
+    """(R,) mean intensity over each region's voxel set, regions 1..R."""
     arr = _volume_array(volume)
     if arr.shape != atlas.dims:
         raise DimMismatch(f"volume dims {arr.shape} != atlas dims {atlas.dims}")
     sums = np.bincount(atlas.labels.ravel(), weights=arr.ravel(), minlength=atlas.region_count + 1)
     # region_sizes > 0 is an AtlasVolume invariant
-    return RegionPooled(values=sums[1:] / atlas.region_sizes)
+    return sums[1:] / atlas.region_sizes
 
 
-def weighted_aggregate(pooled: RegionPooled, table) -> AggregatedFeature:
-    """Relevance-weighted mean and population-style std of the pooled values.
+def weighted_aggregate(pooled: np.ndarray, table) -> AggregatedFeature:
+    """Relevance-weighted mean and population-style std of the (R,) pooled values.
 
     ``table`` is a RelevanceTable or any array of strictly positive weights;
     only the relative scale of the weights matters.
     """
     theta = table.weights() if isinstance(table, RelevanceTable) else np.asarray(table, dtype=np.float64)
-    if pooled.region_count != theta.shape[0]:
-        raise LengthMismatch(f"pooled has {pooled.region_count} regions, weights have {theta.shape[0]}")
+    if pooled.shape[0] != theta.shape[0]:
+        raise LengthMismatch(f"pooled has {pooled.shape[0]} regions, weights have {theta.shape[0]}")
     if (theta <= 0).any():
         raise ValueError("region weights must be strictly positive")
     total = theta.sum()
-    mean = float(np.dot(theta, pooled.values) / total)
-    var = float(np.dot(theta, (pooled.values - mean) ** 2) / total)
+    mean = float(np.dot(theta, pooled) / total)
+    var = float(np.dot(theta, (pooled - mean) ** 2) / total)
     return AggregatedFeature(mean=mean, std=float(np.sqrt(var)))
 
 
-def upsample_fuse(agg: AggregatedFeature, dense: DenseFeature, proj: FusionProjection) -> DenseFeature:
-    """Broadcast proj @ (mean, std) + bias over the grid and add it to dense."""
-    if proj.channels != dense.channels:
-        raise ChannelMismatch(f"projection emits {proj.channels} channels, dense has {dense.channels}")
+def upsample_fuse(agg: AggregatedFeature, dense: Tensor, proj: FusionProjection) -> Tensor:
+    """Broadcast proj @ (mean, std) + bias over the grid and add it to the (C, ...) dense tensor."""
+    channels = dense.data.shape[0]
+    if proj.channels != channels:
+        raise ChannelMismatch(f"projection emits {proj.channels} channels, dense has {channels}")
     vec = ad.linear(proj.weight, ad.constant(agg.as_vector()), proj.bias)
-    return DenseFeature(node=ad.add_channel_bias(dense.node, vec))
+    return ad.add_channel_bias(dense, vec)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .atomic import replacing
 from .cohort import Cohort, read_manifest, write_manifest
-from .config import RunConfig, load_config
+from .config import SCHEMA, RunConfig, load_config
 from .diagnoser import Label
 from .preprocess import run_pipeline
 from .priors import RelevanceTable, default_relevance_table, load_relevance_table, save_relevance_table
@@ -35,11 +35,21 @@ from .volume_io import DTYPE_FLOAT32, read_atlas, write_atlas, write_volume
 PREDICTION_FIELDS = ["subject_id", "label", "p_pd", "delta", "predicted_age", "decision"]
 
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace, mapping: dict[str, tuple[str, str]]) -> None:
-    for dest, (section, key) in mapping.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            cfg.set(section, key, value)
+def _config_flag(parser, section: str, key: str, flag: str | None = None, **kwargs) -> None:
+    """``--<key-with-dashes>`` (or ``--<flag>``) overriding ``[section] key``, typed like its default."""
+    name = flag or key
+    kwargs.setdefault("metavar", name.upper())
+    option = f"--{name.replace('_', '-')}"
+    parser.add_argument(option, dest=f"{section}.{key}", type=type(SCHEMA[section][key]), **kwargs)
+
+
+def _config(args: argparse.Namespace) -> RunConfig:
+    """The ``--config`` file with every given config flag (dest ``section.key``) applied over it."""
+    cfg = load_config(args.config)
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            cfg.set(*dest.split("."), value)
+    return cfg
 
 
 def _load_table(cfg: RunConfig, args) -> RelevanceTable:
@@ -110,20 +120,7 @@ def read_predictions(path) -> list[PredictionRecord]:
 
 
 def cmd_synth(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(
-        cfg,
-        args,
-        {
-            "n": ("synth", "n_subjects"),
-            "seed": ("synth", "seed"),
-            "dims": ("synth", "dims"),
-            "pd_fraction": ("synth", "pd_fraction"),
-            "noise_std": ("synth", "noise_std"),
-            "signal_gain": ("synth", "signal_gain"),
-        },
-    )
-    scfg = cfg.synth_config()
+    scfg = _config(args).synth_config()
     cohort, satlas = generate_cohort(scfg)
     out = Path(args.out)
     (out / "volumes").mkdir(parents=True, exist_ok=True)
@@ -141,7 +138,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_split(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args)
     manifest = args.manifest or cfg.get("data", "cohort_manifest")
     if not manifest:
         raise ValueError("no cohort manifest given (flag --manifest or config data.cohort_manifest)")
@@ -160,8 +157,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args, {"jobs": ("preprocess", "jobs"), "cache_dir": ("preprocess", "cache_dir")})
+    cfg = _config(args)
     manifest = args.manifest or cfg.get("data", "cohort_manifest")
     if not manifest:
         raise ValueError("no cohort manifest given (flag --manifest or config data.cohort_manifest)")
@@ -184,20 +180,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(
-        cfg,
-        args,
-        {
-            "stage": ("train", "stage"),
-            "epochs": ("train", "epochs"),
-            "batch": ("train", "batch"),
-            "lr": ("train", "lr"),
-            "weight_decay": ("train", "weight_decay"),
-            "seed": ("train", "seed"),
-            "channels": ("model", "channels"),
-        },
-    )
+    cfg = _config(args)
     config = cfg.train_config()  # rejects bad settings before anything is written
     cohort, atlas, table = _load_data(cfg, args)
     stage = int(cfg.get("train", "stage"))
@@ -236,7 +219,7 @@ def _records_from_model(cfg, args) -> list[PredictionRecord]:
 
 
 def cmd_predict(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args)
     records = _records_from_model(cfg, args)
     write_predictions(records, args.out)
     print(f"predictions: {args.out}")
@@ -265,7 +248,7 @@ def _fold_summary(folds: list[list[PredictionRecord]]) -> str:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args)
     if args.predictions:
         folds = [read_predictions(p) for p in args.predictions]
     else:
@@ -287,7 +270,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _config(args)
     if args.dump_config:
         sys.stdout.write(cfg.dump())
         if not args.predictions:
@@ -319,12 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic cohort, atlas, and manifest")
     p.add_argument("--config")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--n", type=int, help="number of subjects")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dims", type=int, help="cube edge length (divisible by 4)")
-    p.add_argument("--pd-fraction", dest="pd_fraction", type=float)
-    p.add_argument("--noise-std", dest="noise_std", type=float)
-    p.add_argument("--signal-gain", dest="signal_gain", type=float)
+    _config_flag(p, "synth", "n_subjects", flag="n", help="number of subjects")
+    _config_flag(p, "synth", "seed")
+    _config_flag(p, "synth", "dims", help="cube edge length (divisible by 4)")
+    for key in ("pd_fraction", "noise_std", "signal_gain"):
+        _config_flag(p, "synth", key)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("split", help="write stratified k-fold train/test manifests")
@@ -339,23 +321,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--manifest", help="cohort manifest of raw scans")
     p.add_argument("--out-manifest", dest="out_manifest", help="write manifest of processed scans")
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--cache-dir", dest="cache_dir")
+    for key in ("jobs", "cache_dir"):
+        _config_flag(p, "preprocess", key)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", help="run one training stage")
     p.add_argument("--config")
-    p.add_argument("--stage", type=int, choices=(1, 2, 3))
+    _config_flag(p, "train", "stage", choices=(1, 2, 3), metavar=None)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--manifest")
     p.add_argument("--atlas")
     p.add_argument("--relevance")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--channels", type=int)
+    for key in ("epochs", "batch", "lr", "weight_decay", "seed"):
+        _config_flag(p, "train", key)
+    _config_flag(p, "model", "channels")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="write per-subject predictions CSV")

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .aggregator import DenseFeature
 from .priors import AgingPriorParams
 
 
@@ -31,21 +30,6 @@ class ShapeMismatch(ValueError):
 class Label(enum.Enum):
     PD = "pd"
     OTHER = "other"
-
-
-@dataclass
-class Logits:
-    """(z_pd, z_ot) pair as one graph node of shape (2,)."""
-
-    node: Tensor
-
-    @property
-    def z_pd(self) -> float:
-        return float(self.node.data[0])
-
-    @property
-    def z_ot(self) -> float:
-        return float(self.node.data[1])
 
 
 @dataclass
@@ -71,29 +55,25 @@ class BranchParams:
         )
 
     @property
-    def channels(self) -> int:
-        return self.conv_w.data.shape[0]
-
-    @property
     def outputs(self) -> int:
         return self.head_w.data.shape[0]
 
 
-def _branch_features(fused: DenseFeature, params: BranchParams) -> Tensor:
-    if params.conv_w.data.shape[1] != fused.channels:
-        raise ShapeMismatch(f"branch expects {params.conv_w.data.shape[1]} channels, fused has {fused.channels}")
-    h = ad.conv_relu(fused.node, params.conv_w, params.conv_b)
+def _branch_features(fused: Tensor, params: BranchParams) -> Tensor:
+    if params.conv_w.data.shape[1] != fused.data.shape[0]:
+        raise ShapeMismatch(f"branch expects {params.conv_w.data.shape[1]} channels, fused has {fused.data.shape[0]}")
+    h = ad.conv_relu(fused, params.conv_w, params.conv_b)
     return ad.global_avg_pool(h)
 
 
-def classify(fused: DenseFeature, params: BranchParams) -> Logits:
-    """Two-way logits from the fused feature."""
+def classify(fused: Tensor, params: BranchParams) -> Tensor:
+    """The (2,) logits (z_pd, z_ot) from the fused feature."""
     if params.outputs != 2:
         raise ShapeMismatch(f"classifier head must emit 2 logits, emits {params.outputs}")
-    return Logits(node=ad.linear(params.head_w, _branch_features(fused, params), params.head_b))
+    return ad.linear(params.head_w, _branch_features(fused, params), params.head_b)
 
 
-def predict_brain_age(fused: DenseFeature, params: BranchParams) -> Tensor:
+def predict_brain_age(fused: Tensor, params: BranchParams) -> Tensor:
     """Scalar brain-age estimate in years (differentiable; .item() for the float)."""
     if params.outputs != 1:
         raise ShapeMismatch(f"age head must emit 1 output, emits {params.outputs}")
@@ -113,9 +93,9 @@ def age_loss(delta: Tensor, label: Label, prior: AgingPriorParams) -> Tensor:
     return ad.relu(ad.sub(delta, ad.constant(prior.tau)))
 
 
-def decide(z_tilde: Logits) -> tuple[Label, float]:
-    """Softmax readout; PD iff p_pd > 0.5, exact ties go to OTHER."""
-    d = z_tilde.z_pd - z_tilde.z_ot
+def decide(z_tilde: Tensor) -> tuple[Label, float]:
+    """Softmax readout of (2,) logits; PD iff p_pd > 0.5, exact ties go to OTHER."""
+    d = float(z_tilde.data[0]) - float(z_tilde.data[1])
     if d >= 0:
         p_pd = 1.0 / (1.0 + math.exp(-d))
     else:
@@ -124,21 +104,21 @@ def decide(z_tilde: Logits) -> tuple[Label, float]:
     return (Label.PD if p_pd > 0.5 else Label.OTHER), p_pd
 
 
-def ce_loss_node(logits: Logits, label: Label) -> Tensor:
-    """Graph-level two-class cross entropy, stabilised by logsumexp."""
+def ce_loss_node(logits: Tensor, label: Label) -> Tensor:
+    """Graph-level two-class cross entropy of (2,) logits, stabilised by logsumexp."""
     idx = 0 if label is Label.PD else 1
-    return ad.sub(ad.logsumexp(logits.node), ad.pick(logits.node, idx))
+    return ad.sub(ad.logsumexp(logits), ad.pick(logits, idx))
 
 
 @dataclass
 class HeadOutput:
     predicted_age: Tensor  # scalar, years
     delta: Tensor  # scalar age gap: predicted minus chronological
-    corrected: Logits  # z + [alpha, -alpha] * phi(delta, tau)
+    corrected: Tensor  # (2,) logits z + [alpha, -alpha] * phi(delta, tau)
 
 
 def head(
-    fused: DenseFeature,
+    fused: Tensor,
     age_chrono: float,
     branch1: BranchParams,
     branch2: BranchParams,
@@ -153,22 +133,20 @@ def head(
     delta = ad.sub(pred, ad.constant(age_chrono))
     z = classify(fused, branch1)
     shift = ad.mul(ad.constant(np.array([prior.alpha, -prior.alpha])), phi(delta, prior.tau))
-    return HeadOutput(predicted_age=pred, delta=delta, corrected=Logits(node=ad.add(z.node, shift)))
+    return HeadOutput(predicted_age=pred, delta=delta, corrected=ad.add(z, shift))
 
 
 @dataclass
 class LossBreakdown:
     node: Tensor  # scalar total-loss graph root
-    total: float
     age: float
     cls: float
     delta: float
-    predicted_age: float
-    corrected: Logits
+    corrected: Tensor  # (2,) age-corrected logits
 
 
 def total_loss(
-    fused: DenseFeature,
+    fused: Tensor,
     age_chrono: float,
     label: Label,
     branch1: BranchParams,
@@ -183,13 +161,10 @@ def total_loss(
     out = head(fused, age_chrono, branch1, branch2, prior)
     l_age = age_loss(out.delta, label, prior)
     l_cls = ce_loss_node(out.corrected, label)
-    node = ad.add(l_age, l_cls)
     return LossBreakdown(
-        node=node,
-        total=node.item(),
+        node=ad.add(l_age, l_cls),
         age=l_age.item(),
         cls=l_cls.item(),
         delta=out.delta.item(),
-        predicted_age=out.predicted_age.item(),
         corrected=out.corrected,
     )

@@ -18,6 +18,7 @@ import shutil
 import subprocess
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -124,6 +125,13 @@ class _Runner:
         self.manifest_path = self.cache / "manifest.jsonl"
         self.lock = threading.Lock()
         self.known = _load_manifest(self.manifest_path)
+        # split once per run; placeholders are filled per token, so a path with spaces stays one argument
+        self.argvs: dict[str, list[str]] = {}
+        for cmd in cfg.commands():
+            try:
+                self.argvs[cmd] = shlex.split(cmd)
+            except ValueError as exc:
+                raise ToolConfigError(f"cannot split command template {cmd!r}: {exc}") from exc
 
     def cache_key(self, raw_digest: str) -> str:
         h = hashlib.sha256()
@@ -140,8 +148,8 @@ class _Runner:
                 fh.flush()
 
     def run_step(self, template: str, input_path: Path, output_path: Path) -> None:
-        cmd = template.format(input=str(input_path), output=str(output_path), template=str(self.cfg.template_path))
-        argv = shlex.split(cmd)
+        paths = {"input": str(input_path), "output": str(output_path), "template": str(self.cfg.template_path)}
+        argv = [token.format(**paths) for token in self.argvs[template]]
         if shutil.which(argv[0]) is None:
             raise FileNotFoundError(f"command not found: {argv[0]}")
         proc = subprocess.run(argv, capture_output=True, text=True)
@@ -213,7 +221,7 @@ def run_pipeline(subjects, cfg: ToolConfig) -> list[PipelineRecord]:
     cfg.validate()
     subjects = list(subjects)
     stems = [Path(p).name.split(".")[0] for p in subjects]
-    dupes = sorted({s for s in stems if stems.count(s) > 1})
+    dupes = sorted(s for s, n in Counter(stems).items() if n > 1)
     if dupes:
         raise ValueError(f"subject ids derive from file stems and must be unique; duplicates: {dupes}")
     runner = _Runner(cfg)

@@ -40,7 +40,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .aggregator import (
     AggregatedFeature,
-    DenseFeature,
     EncoderParams,
     FusionProjection,
     encode_dense,
@@ -248,7 +247,7 @@ def _prepare(cohort: Cohort, atlas: AtlasVolume, table: RelevanceTable) -> list[
     return [_prepare_one(rec, rec.load_volume(), atlas, table) for rec in cohort]
 
 
-def _fused(prep: _Prepared, model: ModelParams) -> DenseFeature:
+def _fused(prep: _Prepared, model: ModelParams) -> Tensor:
     dense = encode_dense(prep.array, model.encoder)
     return upsample_fuse(prep.agg, dense, model.fusion)
 

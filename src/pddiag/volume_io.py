@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import replacing
+
 HEADER_SIZE = 348
 MAGIC = b"n+1\x00"
 
@@ -272,7 +274,7 @@ def write_volume(volume: Volume3D, path, datatype_code: int | None = None) -> No
         voxel_size=volume.header.voxel_size,
     )
     payload = data.astype("<" + dtype_char).tobytes(order="C")
-    with open(path, "wb") as fh:
+    with replacing(path) as tmp, open(tmp, "wb") as fh:
         fh.write(_build_header_bytes(header))
         fh.write(b"\x00" * (header.vox_offset - HEADER_SIZE))
         fh.write(payload)

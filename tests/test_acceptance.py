@@ -24,7 +24,6 @@ from pddiag.aggregator import (
     AggregatedFeature,
     EncoderParams,
     FusionProjection,
-    RegionPooled,
     encode_dense,
     region_average_pool,
     upsample_fuse,
@@ -112,7 +111,7 @@ def test_criterion_03_pooling_oracle():
         labels = rng.integers(1, 6, size=(8, 8, 8))
         labels.flat[:5] = np.arange(1, 6)
         atlas = vio.AtlasVolume(labels=labels, region_count=5)
-        pooled = region_average_pool(vol, atlas).values
+        pooled = region_average_pool(vol, atlas)
         sums, counts = np.zeros(5), np.zeros(5)
         for d in range(8):
             for h in range(8):
@@ -134,13 +133,13 @@ def test_criterion_04_aggregation_invariances():
         pooled = rng.standard_normal(r) * rng.uniform(0.1, 10)
         theta = rng.uniform(1e-3, 5.0, size=r)
         c = float(rng.uniform(0.01, 100))
-        base = weighted_aggregate(RegionPooled(values=pooled), theta)
-        scaled = weighted_aggregate(RegionPooled(values=pooled), theta * c)
+        base = weighted_aggregate(pooled, theta)
+        scaled = weighted_aggregate(pooled, theta * c)
         denom_m = max(1e-30, abs(base.mean))
         worst_scale = max(worst_scale, abs(base.mean - scaled.mean) / denom_m)
         worst_scale = max(worst_scale, abs(base.std - scaled.std) / max(1e-12, base.std))
         a, b = float(rng.normal(0, 3)), float(rng.normal(0, 20))
-        moved = weighted_aggregate(RegionPooled(values=a * pooled + b), theta)
+        moved = weighted_aggregate(a * pooled + b, theta)
         worst_affine = max(worst_affine, abs(moved.mean - (a * base.mean + b)) / max(1.0, abs(moved.mean)))
         worst_affine = max(worst_affine, abs(moved.std - abs(a) * base.std) / max(1.0, moved.std))
     assert worst_scale < 1e-12
@@ -165,15 +164,15 @@ def test_criterion_05_gradient_checks():
 
     checks = {
         "encode_dense": (
-            lambda: tsum(ad.mul(encode_dense(vol, enc).node, coeff_dense)),
+            lambda: tsum(ad.mul(encode_dense(vol, enc), coeff_dense)),
             param_tensors(enc),
         ),
         "upsample_fuse": (
-            lambda: tsum(ad.mul(fused().node, coeff_dense)),
+            lambda: tsum(ad.mul(fused(), coeff_dense)),
             param_tensors(proj, enc),
         ),
         "classify": (
-            lambda: tsum(ad.mul(classify(fused(), b1).node, coeff_z)),
+            lambda: tsum(ad.mul(classify(fused(), b1), coeff_z)),
             param_tensors(b1),
         ),
         "predict_brain_age": (

@@ -10,7 +10,6 @@ from pddiag.aggregator import (
     FusionProjection,
     IndivisibleDims,
     LengthMismatch,
-    RegionPooled,
     encode_dense,
     region_average_pool,
     upsample_fuse,
@@ -58,7 +57,7 @@ class TestEncodeDense:
         coeff = rng.standard_normal((4, 2, 2, 2))
 
         def loss():
-            return tsum(ad.mul(encode_dense(vol, params).node, ad.constant(coeff)))
+            return tsum(ad.mul(encode_dense(vol, params), ad.constant(coeff)))
 
         tensors = param_tensors(params)
         assert gradient_check(loss, tensors, probe_count=60, seed=5) < 1e-4
@@ -73,14 +72,14 @@ class TestRegionPool:
         rng = np.random.default_rng(5)
         atlas = random_atlas(rng, (4, 4, 4), 3)
         pooled = region_average_pool(np.full((4, 4, 4), 7.3), atlas)
-        np.testing.assert_allclose(pooled.values, 7.3, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pooled, 7.3, rtol=0, atol=1e-12)
 
     def test_single_region_is_global_mean(self):
         rng = np.random.default_rng(6)
         vol = rng.standard_normal((4, 4, 4))
         atlas = AtlasVolume(labels=np.ones((4, 4, 4), dtype=np.int64), region_count=1)
         pooled = region_average_pool(vol, atlas)
-        assert pooled.values[0] == pytest.approx(vol.mean(), abs=1e-14)
+        assert pooled[0] == pytest.approx(vol.mean(), abs=1e-14)
 
     def test_matches_bruteforce_voxel_loop(self):
         rng = np.random.default_rng(7)
@@ -95,7 +94,7 @@ class TestRegionPool:
                     r = atlas.labels[d, h, w]
                     sums[r - 1] += vol[d, h, w]
                     counts[r - 1] += 1
-        np.testing.assert_allclose(pooled.values, sums / counts, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pooled, sums / counts, rtol=0, atol=1e-12)
 
     def test_dim_mismatch(self):
         atlas = AtlasVolume(labels=np.ones((4, 4, 4), dtype=np.int64), region_count=1)
@@ -107,8 +106,8 @@ class TestRegionPool:
         atlas = random_atlas(rng, (6, 6, 6), 4)
         v1, v2 = rng.standard_normal((2, 6, 6, 6))
         a, b = 2.5, -1.25
-        combo = region_average_pool(a * v1 + b * v2, atlas).values
-        parts = a * region_average_pool(v1, atlas).values + b * region_average_pool(v2, atlas).values
+        combo = region_average_pool(a * v1 + b * v2, atlas)
+        parts = a * region_average_pool(v1, atlas) + b * region_average_pool(v2, atlas)
         np.testing.assert_allclose(combo, parts, atol=1e-12)
 
     def test_bounds(self):
@@ -116,14 +115,14 @@ class TestRegionPool:
         for _ in range(10):
             vol = rng.standard_normal((4, 4, 4))
             atlas = random_atlas(rng, (4, 4, 4), 5)
-            pooled = region_average_pool(vol, atlas).values
+            pooled = region_average_pool(vol, atlas)
             assert (pooled >= vol.min() - 1e-12).all()
             assert (pooled <= vol.max() + 1e-12).all()
 
 
 class TestWeightedAggregate:
     def test_constant_pooled_zero_std(self):
-        pooled = RegionPooled(values=np.full(48, 3.25))
+        pooled = np.full(48, 3.25)
         from pddiag.priors import default_relevance_table
 
         agg = weighted_aggregate(pooled, default_relevance_table())
@@ -132,14 +131,14 @@ class TestWeightedAggregate:
 
     def test_uniform_weights_example(self):
         # mean 2, population std sqrt(2/3) for [1, 2, 3]
-        agg = weighted_aggregate(RegionPooled(values=np.array([1.0, 2.0, 3.0])), uniform_table(3))
+        agg = weighted_aggregate(np.array([1.0, 2.0, 3.0]), uniform_table(3))
         assert agg.mean == pytest.approx(2.0, abs=1e-15)
         assert agg.std == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-15)
 
     def test_weight_rescaling_invariance(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
-            pooled = RegionPooled(values=rng.standard_normal(7))
+            pooled = rng.standard_normal(7)
             theta = rng.uniform(0.1, 5.0, size=7)
             a = weighted_aggregate(pooled, theta)
             b = weighted_aggregate(pooled, theta * 10.0)
@@ -151,18 +150,18 @@ class TestWeightedAggregate:
         pooled = rng.standard_normal(5)
         theta = rng.uniform(0.5, 2.0, size=5)
         a, b = -2.0, 7.5
-        base = weighted_aggregate(RegionPooled(values=pooled), theta)
-        moved = weighted_aggregate(RegionPooled(values=a * pooled + b), theta)
+        base = weighted_aggregate(pooled, theta)
+        moved = weighted_aggregate(a * pooled + b, theta)
         assert moved.mean == pytest.approx(a * base.mean + b, rel=1e-12)
         assert moved.std == pytest.approx(abs(a) * base.std, rel=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            weighted_aggregate(RegionPooled(values=np.zeros(3)), uniform_table(4))
+            weighted_aggregate(np.zeros(3), uniform_table(4))
 
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            weighted_aggregate(RegionPooled(values=np.zeros(2)), np.array([1.0, 0.0]))
+            weighted_aggregate(np.zeros(2), np.array([1.0, 0.0]))
 
 
 class TestUpsampleFuse:
@@ -209,7 +208,7 @@ class TestUpsampleFuse:
         def loss():
             dense = encode_dense(vol, enc)
             fused = upsample_fuse(AggregatedFeature(0.7, 0.4), dense, proj)
-            return tsum(ad.mul(fused.node, ad.constant(coeff)))
+            return tsum(ad.mul(fused, ad.constant(coeff)))
 
         tensors = param_tensors(proj, enc)
         assert gradient_check(loss, tensors, probe_count=60, seed=17) < 1e-4

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pddiag.cli import PREDICTION_FIELDS, main, read_predictions
-from pddiag.config import ConfigError, RunConfig, load_config
+from pddiag.cli import PREDICTION_FIELDS, _config, build_parser, main, read_predictions
+from pddiag.config import SCHEMA, ConfigError, RunConfig, load_config
 from pddiag.preprocess import ToolConfig
 from pddiag.priors import AgingPriorParams
 from pddiag.synth import SynthConfig
@@ -363,3 +363,100 @@ class TestConfig:
         path = tmp_path / "run.ini"
         path.write_text("[synth]\ndims = 30\n")  # invalid, but the flag wins
         assert run_cli("synth", "--config", path, "--out", tmp_path / "o", "--n", 1, "--dims", 8) == 0
+
+
+# command, flag, value -> the [section] key the flag sets and the value it parses to
+CONFIG_FLAGS = [
+    ("synth", "--n", "12", "synth", "n_subjects", 12),
+    ("synth", "--seed", "3", "synth", "seed", 3),
+    ("synth", "--dims", "20", "synth", "dims", 20),
+    ("synth", "--pd-fraction", "0.25", "synth", "pd_fraction", 0.25),
+    ("synth", "--noise-std", "2.5", "synth", "noise_std", 2.5),
+    ("synth", "--signal-gain", "0.3", "synth", "signal_gain", 0.3),
+    ("preprocess", "--jobs", "3", "preprocess", "jobs", 3),
+    ("preprocess", "--cache-dir", "my cache", "preprocess", "cache_dir", "my cache"),
+    ("train", "--stage", "2", "train", "stage", 2),
+    ("train", "--epochs", "5", "train", "epochs", 5),
+    ("train", "--batch", "2", "train", "batch", 2),
+    ("train", "--lr", "0.002", "train", "lr", 0.002),
+    ("train", "--weight-decay", "0.01", "train", "weight_decay", 0.01),
+    ("train", "--seed", "9", "train", "seed", 9),
+    ("train", "--channels", "6", "model", "channels", 6),
+]
+REQUIRED_ARGS = {"synth": ["--out", "o"], "preprocess": [], "train": ["--out-dir", "o"]}
+
+# each command's options as its --help listed them before the config flags came from config.SCHEMA
+HELP_OPTIONS = {
+    "synth": [
+        ("--config", "CONFIG", ""),
+        ("--out", "OUT", "output directory"),
+        ("--n", "N", "number of subjects"),
+        ("--seed", "SEED", ""),
+        ("--dims", "DIMS", "cube edge length (divisible by 4)"),
+        ("--pd-fraction", "PD_FRACTION", ""),
+        ("--noise-std", "NOISE_STD", ""),
+        ("--signal-gain", "SIGNAL_GAIN", ""),
+    ],
+    "preprocess": [
+        ("--config", "CONFIG", ""),
+        ("--manifest", "MANIFEST", "cohort manifest of raw scans"),
+        ("--out-manifest", "OUT_MANIFEST", "write manifest of processed scans"),
+        ("--jobs", "JOBS", ""),
+        ("--cache-dir", "CACHE_DIR", ""),
+    ],
+    "train": [
+        ("--config", "CONFIG", ""),
+        ("--stage", "{1,2,3}", ""),
+        ("--out-dir", "OUT_DIR", ""),
+        ("--manifest", "MANIFEST", ""),
+        ("--atlas", "ATLAS", ""),
+        ("--relevance", "RELEVANCE", ""),
+        ("--epochs", "EPOCHS", ""),
+        ("--batch", "BATCH", ""),
+        ("--lr", "LR", ""),
+        ("--weight-decay", "WEIGHT_DECAY", ""),
+        ("--seed", "SEED", ""),
+        ("--channels", "CHANNELS", ""),
+    ],
+}
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize(
+        "command, flag, raw, section, key, want", CONFIG_FLAGS, ids=[f"{c}{f}" for c, f, *_ in CONFIG_FLAGS]
+    )
+    def test_flag_sets_its_key(self, command, flag, raw, section, key, want):
+        cfg = _config(build_parser().parse_args([command, *REQUIRED_ARGS[command], flag, raw]))
+        got = cfg.get(section, key)
+        assert got == want and type(got) is type(want)
+        default = RunConfig()
+        assert [(s, k) for s in SCHEMA for k in SCHEMA[s] if cfg.get(s, k) != default.get(s, k)] == [(section, key)]
+
+    @pytest.mark.parametrize("command", REQUIRED_ARGS)
+    def test_every_config_flag_is_listed(self, command):
+        args = build_parser().parse_args([command, *REQUIRED_ARGS[command]])
+        assert sorted(d for d in vars(args) if "." in d) == sorted(
+            f"{s}.{k}" for c, _, _, s, k, _ in CONFIG_FLAGS if c == command
+        )
+        assert _config(args).dump() == RunConfig().dump()
+
+    def test_flag_overrides_config_file(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[train]\nlr = 0.5\nepochs = 4\n")
+        cfg = _config(build_parser().parse_args(["train", "--config", str(path), "--out-dir", "o", "--lr", "0.002"]))
+        assert (cfg.get("train", "lr"), cfg.get("train", "epochs")) == (0.002, 4)
+
+    @pytest.mark.parametrize("command", HELP_OPTIONS)
+    def test_help_lists_the_same_options(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        rows = []
+        for line in capsys.readouterr().out.partition("options:")[2].splitlines():
+            if line.startswith("  --"):
+                option, _, rest = line.strip().partition(" ")
+                metavar, _, help_text = rest.partition("  ")
+                rows.append((option, metavar, help_text.strip()))
+            elif line.startswith("      ") and rows:
+                rows[-1] = (*rows[-1][:2], line.strip())
+        assert rows == HELP_OPTIONS[command]

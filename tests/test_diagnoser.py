@@ -9,7 +9,6 @@ from pddiag.aggregator import AggregatedFeature, EncoderParams, FusionProjection
 from pddiag.diagnoser import (
     BranchParams,
     Label,
-    Logits,
     ShapeMismatch,
     age_loss,
     ce_loss_node,
@@ -41,7 +40,7 @@ def zeroed_branch(channels, outputs, biases):
 
 
 def logits(z_pd, z_ot):
-    return Logits(node=ad.constant(np.array([z_pd, z_ot])))
+    return ad.constant(np.array([z_pd, z_ot]))
 
 
 def head_on(fused, z, delta, prior, age=60.0):
@@ -53,7 +52,7 @@ class TestBranches:
     def test_zero_weights_yield_biases(self, fused):
         params = zeroed_branch(4, 2, [1.25, -0.5])
         z = classify(fused, params)
-        assert (z.z_pd, z.z_ot) == (1.25, -0.5)
+        assert tuple(z.data) == (1.25, -0.5)
 
     def test_constant_age_head(self, fused):
         params = zeroed_branch(4, 1, [70.0])
@@ -64,7 +63,7 @@ class TestBranches:
         params = BranchParams.init(4, 2, rng)
         a = classify(fused, params)
         b = classify(fused, params)
-        assert a.node.data.tobytes() == b.node.data.tobytes()
+        assert a.data.tobytes() == b.data.tobytes()
 
     def test_wrong_channel_count(self, fused):
         with pytest.raises(ShapeMismatch):
@@ -83,7 +82,7 @@ class TestBranches:
         coeff = rng.standard_normal(2)
 
         def loss():
-            return tsum(ad.mul(classify(fused, params).node, ad.constant(coeff)))
+            return tsum(ad.mul(classify(fused, params), ad.constant(coeff)))
 
         assert gradient_check(loss, param_tensors(params), probe_count=60, seed=5) < 1e-4
 
@@ -172,16 +171,16 @@ class TestCorrectLogits:
 
     def test_alpha_zero_identity(self, fused):
         out = head_on(fused, [1.5, -2.0], 99.0, AgingPriorParams(alpha=0.0))
-        assert (out.corrected.z_pd, out.corrected.z_ot) == (1.5, -2.0)
+        assert tuple(out.corrected.data) == (1.5, -2.0)
 
     def test_delta_at_tau_identity(self, fused):
         out = head_on(fused, [0.0, 0.0], 4.5, AgingPriorParams())
-        assert (out.corrected.z_pd, out.corrected.z_ot) == (0.0, 0.0)
+        assert tuple(out.corrected.data) == (0.0, 0.0)
 
     def test_symmetric_shift(self, fused):
         out = head_on(fused, [1.0, 2.0], 6.5, AgingPriorParams(alpha=1.0))
-        assert out.corrected.z_pd == pytest.approx(3.0, abs=1e-12)
-        assert out.corrected.z_ot == pytest.approx(0.0, abs=1e-12)
+        assert out.corrected.data[0] == pytest.approx(3.0, abs=1e-12)
+        assert out.corrected.data[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_shift_is_alpha_times_gap(self, fused):
         rng = np.random.default_rng(15)
@@ -190,8 +189,8 @@ class TestCorrectLogits:
             prior = AgingPriorParams(zeta=20.0, tau=float(rng.uniform(0, 10)), alpha=float(rng.uniform(0, 2)))
             out = head_on(fused, z, float(rng.uniform(-20, 20)), prior)
             shift = prior.alpha * (out.delta.item() - prior.tau)
-            assert out.corrected.z_pd == pytest.approx(z[0] + shift, abs=1e-12)
-            assert out.corrected.z_ot == pytest.approx(z[1] - shift, abs=1e-12)
+            assert out.corrected.data[0] == pytest.approx(z[0] + shift, abs=1e-12)
+            assert out.corrected.data[1] == pytest.approx(z[1] - shift, abs=1e-12)
 
     def test_monotone_calibration(self, fused):
         prior = AgingPriorParams(alpha=1.0)
@@ -260,8 +259,8 @@ class TestTotalLoss:
         b1 = BranchParams.init(4, 2, rng)
         b2 = BranchParams.init(4, 1, rng, head_bias=65.0)
         out = total_loss(fused, 63.0, Label.PD, b1, b2, self.PRIOR)
-        assert out.total == pytest.approx(out.age + out.cls, abs=1e-12)
-        assert out.delta == pytest.approx(out.predicted_age - 63.0, abs=1e-12)
+        assert out.node.item() == pytest.approx(out.age + out.cls, abs=1e-12)
+        assert out.delta == pytest.approx(predict_brain_age(fused, b2).item() - 63.0, abs=1e-12)
 
     def test_zero_components_zero_total(self, fused):
         # age head pushed far above zeta and classifier saturated correct
@@ -270,7 +269,7 @@ class TestTotalLoss:
         out = total_loss(fused, 63.0, Label.PD, b1, b2, self.PRIOR)
         assert out.age == 0.0
         assert out.cls < 1e-20
-        assert out.total == pytest.approx(0.0, abs=1e-20)
+        assert out.node.item() == pytest.approx(0.0, abs=1e-20)
 
     def test_end_to_end_gradient_check(self, fused):
         rng = np.random.default_rng(13)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -226,6 +227,34 @@ class TestRunPipeline:
         run_pipeline(harness.subjects(1), cfg)
         tmp_root = Path(cfg.cache_dir) / "tmp"
         assert not any(tmp_root.iterdir()) if tmp_root.exists() else True
+
+    def test_spaced_paths_stay_one_argument(self, tmp_path):
+        raw = tmp_path / "raw dir" / "s1.nii"
+        raw.parent.mkdir()
+        raw.write_bytes(b"RAW-1")
+        template = tmp_path / "template dir" / "t.nii"
+        template.parent.mkdir()
+        template.write_bytes(b"TEMPLATE")
+        cfg = ToolConfig(
+            strip_cmd="cp {input} {output}",
+            bias_cmd="cp {input} {output}",
+            register_cmd="""sh -c 'test -f "$2" && cp "$0" "$1"' {input} {output} {template}""",
+            template_path=str(template),
+            cache_dir=str(tmp_path / "cache dir"),
+        )
+        [rec] = run_pipeline([raw], cfg)
+        assert rec.ok, rec.error
+        assert Path(rec.output_path).read_bytes() == b"RAW-1"
+        # the cache key still hashes the raw templates
+        key = hashlib.sha256(hashlib.sha256(b"RAW-1").hexdigest().encode())
+        for cmd in (*cfg.commands(), cfg.template_path):
+            key.update(cmd.encode())
+        assert rec.cache_key == key.hexdigest()
+
+    def test_unsplittable_template_rejected(self, harness):
+        with pytest.raises(ToolConfigError, match="cannot split"):
+            run_pipeline(harness.subjects(1), harness.config(bias_cmd="cp '{input} {output}"))
+        assert harness.invocations() == 0
 
     def test_colliding_subject_stems_rejected(self, harness):
         a = harness.root / "same.nii"

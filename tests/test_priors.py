@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pddiag.aggregator import RegionPooled, weighted_aggregate
+from pddiag.aggregator import weighted_aggregate
 from pddiag.priors import (
     RELEVANCE_WEIGHTS,
     AgingPriorParams,
@@ -67,7 +67,7 @@ class TestDefaultTable:
             w[0] = 1.0
         want = np.array([RELEVANCE_WEIGHTS[e.relevance] for e in base.entries])
         assert w.tobytes() == want.tobytes()
-        pooled = RegionPooled(values=np.random.default_rng(0).standard_normal(48))
+        pooled = np.random.default_rng(0).standard_normal(48)
         assert weighted_aggregate(pooled, table) == weighted_aggregate(pooled, want)
 
     def test_deterministic(self):

@@ -109,7 +109,7 @@ class TestGeneration:
         vol = synth_volume(sa, age=61.0, is_pd=True, cfg=cfg, rng=rng)
         pooled = region_average_pool(vol, sa.atlas)
         expected = cfg.baseline + cfg.signal_gain * effective_region_ages(61.0, True, sa.table, cfg.acceleration)
-        np.testing.assert_allclose(pooled.values, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pooled, expected, rtol=0, atol=1e-12)
 
     def test_age_matched_strong_region_contrast(self):
         cfg = SynthConfig(n_subjects=1, dims=(16, 16, 16), noise_std=0.0)
@@ -117,8 +117,8 @@ class TestGeneration:
         rng = np.random.default_rng(0)
         pd_vol = synth_volume(sa, age=67.0, is_pd=True, cfg=cfg, rng=rng)
         ot_vol = synth_volume(sa, age=67.0, is_pd=False, cfg=cfg, rng=rng)
-        pd_pool = region_average_pool(pd_vol, sa.atlas).values
-        ot_pool = region_average_pool(ot_vol, sa.atlas).values
+        pd_pool = region_average_pool(pd_vol, sa.atlas)
+        ot_pool = region_average_pool(ot_vol, sa.atlas)
         strong = [e.region_id - 1 for e in sa.table.entries if e.relevance is RelevanceClass.STRONG]
         rest = [e.region_id - 1 for e in sa.table.entries if e.relevance is not RelevanceClass.STRONG]
         diff = pd_pool - ot_pool
@@ -132,8 +132,8 @@ class TestGeneration:
         for accel in (4.0, 8.0, 16.0):
             with pytest.warns(UserWarning) if accel <= 5.0 else _nullcontext():
                 cfg = SynthConfig(n_subjects=1, dims=(16, 16, 16), noise_std=0.0, acceleration=accel)
-            pd_pool = region_average_pool(synth_volume(sa, 65.0, True, cfg, rng), sa.atlas).values
-            ot_pool = region_average_pool(synth_volume(sa, 65.0, False, cfg, rng), sa.atlas).values
+            pd_pool = region_average_pool(synth_volume(sa, 65.0, True, cfg, rng), sa.atlas)
+            ot_pool = region_average_pool(synth_volume(sa, 65.0, False, cfg, rng), sa.atlas)
             seps.append(np.abs(pd_pool - ot_pool).max())
         assert seps[0] < seps[1] < seps[2]
 

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import math
 import struct
 import tracemalloc
@@ -273,6 +274,35 @@ class TestReadWrite:
         vio.write_volume(back, out)
         assert out.stat().st_size == 400 + 8 * 4
         assert (vio.read_volume(out).data == back.data).all()
+
+    def test_write_failing_partway_leaves_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.nii"
+        vio.write_volume(vio.Volume3D.from_array(np.zeros((4, 4, 4))), path)
+        before = path.read_bytes()
+
+        class DiskFull:
+            """A file that takes the header, then fails the next write like a full disk."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, b):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(b)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(vio, "open", lambda *a, **k: DiskFull(open(*a, **k)), raising=False)
+        with pytest.raises(OSError, match="No space"):
+            vio.write_volume(vio.Volume3D.from_array(np.ones((4, 4, 4))), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["v.nii"]
 
 
 class TestAtlas:
