@@ -182,14 +182,17 @@ def pick(a: Tensor, index: int) -> Tensor:
     return Tensor(out, parents=(a,), backward=back)
 
 
-def logsumexp(a: Tensor) -> Tensor:
-    m = np.max(a.data)
-    out = np.log(np.sum(np.exp(a.data - m))) + m
+def cross_entropy(logits: Tensor, index: int) -> Tensor:
+    """logsumexp(logits) - logits[index]: the cross entropy of softmax(logits) at ``index``, as one node."""
+    m = np.max(logits.data)
+    lse = np.log(np.sum(np.exp(logits.data - m))) + m
 
     def back(g):
-        return (g * np.exp(a.data - out),)
+        ga = g * np.exp(logits.data - lse)
+        ga[index] -= g
+        return (ga,)
 
-    return Tensor(out, parents=(a,), backward=back)
+    return Tensor(lse - logits.data[index], parents=(logits,), backward=back)
 
 
 def linear(w: Tensor, x: Tensor, b: Tensor) -> Tensor:

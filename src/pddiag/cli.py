@@ -8,20 +8,22 @@ seeds, never the clock, so identical invocations produce identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
 from .atomic import replacing
 from .cohort import Cohort, read_manifest, write_manifest
 from .config import SCHEMA, RunConfig, load_config
+from .csvtable import read_rows, write_rows
 from .diagnoser import Label
 from .preprocess import run_pipeline
 from .priors import RelevanceTable, default_relevance_table, load_relevance_table, save_relevance_table
 from .synth import generate_cohort, split_cohort
 from .training import (
+    Metrics,
     ModelParams,
     PredictionRecord,
+    kv_rate,
     load_checkpoint,
     metrics_from_records,
     predict,
@@ -57,33 +59,28 @@ def _load_table(cfg: RunConfig, args) -> RelevanceTable:
     return load_relevance_table(path) if path else default_relevance_table()
 
 
-def _load_data(cfg: RunConfig, args):
+def _read_cohort(cfg: RunConfig, args) -> Cohort:
     manifest = getattr(args, "manifest", None) or cfg.get("data", "cohort_manifest")
-    atlas_path = getattr(args, "atlas", None) or cfg.get("data", "atlas_path")
     if not manifest:
         raise ValueError("no cohort manifest given (flag --manifest or config data.cohort_manifest)")
+    return read_manifest(manifest)
+
+
+def _load_data(cfg: RunConfig, args):
+    cohort = _read_cohort(cfg, args)
+    atlas_path = getattr(args, "atlas", None) or cfg.get("data", "atlas_path")
     if not atlas_path:
         raise ValueError("no atlas given (flag --atlas or config data.atlas_path)")
     table = _load_table(cfg, args)
-    atlas = read_atlas(atlas_path, region_count=table.region_count)
-    return read_manifest(manifest), atlas, table
+    return cohort, read_atlas(atlas_path, region_count=table.region_count), table
 
 
 def write_predictions(records: list[PredictionRecord], path) -> None:
-    with replacing(path) as tmp, open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PREDICTION_FIELDS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.subject_id,
-                    r.label.value if r.label else "",
-                    repr(r.p_pd),
-                    repr(r.delta),
-                    repr(r.predicted_age),
-                    r.decision.value,
-                ]
-            )
+    def row(r: PredictionRecord) -> list:
+        label = r.label.value if r.label else ""
+        return [r.subject_id, label, repr(r.p_pd), repr(r.delta), repr(r.predicted_age), r.decision.value]
+
+    write_rows(path, PREDICTION_FIELDS, map(row, records))
 
 
 def read_predictions(path) -> list[PredictionRecord]:
@@ -91,32 +88,21 @@ def read_predictions(path) -> list[PredictionRecord]:
 
     A malformed file raises ValueError naming the file and the line.
     """
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != PREDICTION_FIELDS:
-                raise ValueError(f"expected header {','.join(PREDICTION_FIELDS)}, got {reader.fieldnames}")
-            reader.fieldnames = PREDICTION_FIELDS
-            for row in reader:
-                if None in row or None in row.values():
-                    raise ValueError(f"expected {len(PREDICTION_FIELDS)} fields, got {row}")
-                p_pd = float(row["p_pd"])
-                if not 0.0 <= p_pd <= 1.0:
-                    raise ValueError(f"p_pd must lie in [0, 1], got {row['p_pd']!r}")
-                records.append(
-                    PredictionRecord(
-                        subject_id=row["subject_id"],
-                        label=Label(row["label"]) if row["label"] else None,
-                        p_pd=p_pd,
-                        delta=float(row["delta"]),
-                        predicted_age=float(row["predicted_age"]),
-                        decision=Label(row["decision"]),
-                    )
-                )
-        except (ValueError, csv.Error) as exc:
-            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
-    return records
+
+    def parse(row) -> PredictionRecord:
+        p_pd = float(row["p_pd"])
+        if not 0.0 <= p_pd <= 1.0:
+            raise ValueError(f"p_pd must lie in [0, 1], got {row['p_pd']!r}")
+        return PredictionRecord(
+            subject_id=row["subject_id"],
+            label=Label(row["label"]) if row["label"] else None,
+            p_pd=p_pd,
+            delta=float(row["delta"]),
+            predicted_age=float(row["predicted_age"]),
+            decision=Label(row["decision"]),
+        )
+
+    return read_rows(path, PREDICTION_FIELDS, parse)
 
 
 def cmd_synth(args) -> int:
@@ -139,10 +125,7 @@ def cmd_synth(args) -> int:
 
 def cmd_split(args) -> int:
     cfg = _config(args)
-    manifest = args.manifest or cfg.get("data", "cohort_manifest")
-    if not manifest:
-        raise ValueError("no cohort manifest given (flag --manifest or config data.cohort_manifest)")
-    cohort = read_manifest(manifest)
+    cohort = _read_cohort(cfg, args)
     for s in cohort:
         if s.path:
             s.path = str(Path(s.path).resolve())
@@ -158,23 +141,17 @@ def cmd_split(args) -> int:
 
 def cmd_preprocess(args) -> int:
     cfg = _config(args)
-    manifest = args.manifest or cfg.get("data", "cohort_manifest")
-    if not manifest:
-        raise ValueError("no cohort manifest given (flag --manifest or config data.cohort_manifest)")
-    cohort = read_manifest(manifest)
+    cohort = _read_cohort(cfg, args)
     records = run_pipeline([s.path for s in cohort], cfg.tool_config())
     for rec in records:
         status = "ok" if rec.ok else f"FAILED ({rec.error})"
         steps = ",".join(f"{k}={v}" for k, v in rec.steps.items())
         print(f"{rec.subject_id}: {status} [{steps}]")
     if args.out_manifest:
-        survivors = Cohort(
-            subjects=[s for s, r in zip(cohort.subjects, records) if r.ok]
-        )
-        for s, r in zip(cohort.subjects, records):
-            if r.ok:
-                s.path = r.output_path
-        write_manifest(survivors, args.out_manifest)
+        survivors = [(s, r) for s, r in zip(cohort, records) if r.ok]
+        for s, r in survivors:
+            s.path = r.output_path
+        write_manifest(Cohort([s for s, _ in survivors]), args.out_manifest)
         print(f"processed manifest: {args.out_manifest}")
     return 0 if all(r.ok for r in records) else 1
 
@@ -237,11 +214,8 @@ def _fold_summary(folds: list[list[PredictionRecord]]) -> str:
         vals = [getattr(m, attr) for m in per_fold if getattr(m, attr) is not None]
         return sum(vals) / len(vals) if vals else None
 
-    def fmt(x):
-        return "undefined" if x is None else repr(float(x))
-
-    for attr in ("acc", "tpr", "fpr", "auc"):
-        lines.append(f"mean.{attr}={fmt(mean_of(attr))}")
+    for attr in Metrics.RATES:
+        lines.append(kv_rate(f"mean.{attr}", mean_of(attr)))
     pooled = metrics_from_records([r for records in folds for r in records])
     lines.extend(f"pooled.{line}" for line in pooled.to_kv_text().splitlines())
     return "\n".join(lines) + "\n"

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .atomic import replacing
+from .csvtable import read_rows, write_rows
 from .diagnoser import Label
 from .volume_io import Volume3D, read_volume
 
@@ -65,13 +64,10 @@ MANIFEST_FIELDS = ["subject_id", "path", "age", "label", "is_healthy"]
 
 
 def write_manifest(cohort: Cohort, path) -> None:
-    with replacing(path) as tmp, open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_FIELDS)
-        for s in cohort:
-            writer.writerow(
-                [s.subject_id, s.path or "", repr(float(s.age)), s.label.value if s.label else "", int(s.is_healthy)]
-            )
+    def row(s: SubjectRecord) -> list:
+        return [s.subject_id, s.path or "", repr(float(s.age)), s.label.value if s.label else "", int(s.is_healthy)]
+
+    write_rows(path, MANIFEST_FIELDS, map(row, cohort))
 
 
 def read_manifest(path) -> Cohort:
@@ -80,29 +76,17 @@ def read_manifest(path) -> Cohort:
     A malformed manifest raises ValueError naming the file and the line.
     """
     base = Path(path).parent
-    subjects = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != MANIFEST_FIELDS:
-                raise ValueError(f"expected header {','.join(MANIFEST_FIELDS)}, got {reader.fieldnames}")
-            reader.fieldnames = MANIFEST_FIELDS
-            for row in reader:
-                if None in row or None in row.values():
-                    raise ValueError(f"expected {len(MANIFEST_FIELDS)} fields, got {row}")
-                label = Label(row["label"]) if row["label"] else None
-                vol_path = row["path"] or None
-                if vol_path and not Path(vol_path).is_absolute():
-                    vol_path = str(base / vol_path)
-                subjects.append(
-                    SubjectRecord(
-                        subject_id=row["subject_id"],
-                        age=float(row["age"]),
-                        label=label,
-                        is_healthy=row["is_healthy"].strip() in ("1", "true", "True"),
-                        path=vol_path,
-                    )
-                )
-        except (ValueError, csv.Error) as exc:
-            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
-    return Cohort(subjects=subjects)
+
+    def parse(row) -> SubjectRecord:
+        vol_path = row["path"] or None
+        if vol_path and not Path(vol_path).is_absolute():
+            vol_path = str(base / vol_path)
+        return SubjectRecord(
+            subject_id=row["subject_id"],
+            age=float(row["age"]),
+            label=Label(row["label"]) if row["label"] else None,
+            is_healthy=row["is_healthy"].strip() in ("1", "true", "True"),
+            path=vol_path,
+        )
+
+    return Cohort(subjects=read_rows(path, MANIFEST_FIELDS, parse))

@@ -105,9 +105,8 @@ def decide(z_tilde: Tensor) -> tuple[Label, float]:
 
 
 def ce_loss_node(logits: Tensor, label: Label) -> Tensor:
-    """Graph-level two-class cross entropy of (2,) logits, stabilised by logsumexp."""
-    idx = 0 if label is Label.PD else 1
-    return ad.sub(ad.logsumexp(logits), ad.pick(logits, idx))
+    """Two-class cross entropy of (2,) logits, as one ``ad.cross_entropy`` graph node."""
+    return ad.cross_entropy(logits, 0 if label is Label.PD else 1)
 
 
 @dataclass

@@ -11,6 +11,8 @@ killed run from claiming unfinished work.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import shlex
@@ -75,19 +77,7 @@ class PipelineRecord:
         )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "subject_id": self.subject_id,
-                "steps": self.steps,
-                "output_path": self.output_path,
-                "digest": self.digest,
-                "cache_key": self.cache_key,
-                "error": self.error,
-                "started_at": self.started_at,
-                "finished_at": self.finished_at,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
 
 def _sha256_file(path) -> str:
@@ -132,6 +122,13 @@ class _Runner:
                 self.argvs[cmd] = shlex.split(cmd)
             except ValueError as exc:
                 raise ToolConfigError(f"cannot split command template {cmd!r}: {exc}") from exc
+            try:
+                self.fill(self.argvs[cmd], "input", "output")
+            except (AttributeError, IndexError, KeyError, ValueError) as exc:
+                msg = f"cannot fill command template {cmd!r}: {exc!r}; write a literal brace as {{{{ or }}}}"
+                raise ToolConfigError(msg) from exc
+        # resolved once per program and run; a missing program still fails each step that runs it
+        self.which = functools.lru_cache(maxsize=None)(shutil.which)
 
     def cache_key(self, raw_digest: str) -> str:
         h = hashlib.sha256()
@@ -147,10 +144,13 @@ class _Runner:
                 fh.write(rec.to_json() + "\n")
                 fh.flush()
 
-    def run_step(self, template: str, input_path: Path, output_path: Path) -> None:
+    def fill(self, tokens: list[str], input_path, output_path) -> list[str]:
         paths = {"input": str(input_path), "output": str(output_path), "template": str(self.cfg.template_path)}
-        argv = [token.format(**paths) for token in self.argvs[template]]
-        if shutil.which(argv[0]) is None:
+        return [token.format(**paths) for token in tokens]
+
+    def run_step(self, template: str, input_path: Path, output_path: Path) -> None:
+        argv = self.fill(self.argvs[template], input_path, output_path)
+        if self.which(argv[0]) is None:
             raise FileNotFoundError(f"command not found: {argv[0]}")
         proc = subprocess.run(argv, capture_output=True, text=True)
         if proc.returncode != 0:

@@ -9,14 +9,13 @@ so only relative scale matters.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atomic import replacing
+from .csvtable import read_rows, write_rows
 
 
 class RelevanceClass(enum.Enum):
@@ -127,39 +126,29 @@ def default_relevance_table() -> RelevanceTable:
     return RelevanceTable(tuple(RegionEntry(i, name, cls) for i, name, cls in _DEFAULT_REGIONS))
 
 
+RELEVANCE_FIELDS = ["region_id", "region_name", "relevance"]
+
+
 def load_relevance_table(path) -> RelevanceTable:
     """Load a table from CSV with header ``region_id,region_name,relevance``.
 
     A malformed row raises ValueError naming the file and the line.
     """
-    fields = ["region_id", "region_name", "relevance"]
-    entries = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != fields:
-                raise ValueError(f"expected header '{','.join(fields)}', got {reader.fieldnames}")
-            reader.fieldnames = fields
-            for row in reader:
-                if None in row or None in row.values():
-                    raise ValueError(f"expected {len(fields)} fields, got {row}")
-                token = row["relevance"].strip().lower()
-                if token not in {c.value for c in RelevanceClass}:
-                    raise ValueError(f"unknown relevance token {row['relevance']!r} (want strong/potential/none)")
-                entries.append(RegionEntry(int(row["region_id"]), row["region_name"], RelevanceClass(token)))
-        except (ValueError, csv.Error) as exc:
-            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
+
+    def parse(row) -> RegionEntry:
+        token = row["relevance"].strip().lower()
+        if token not in {c.value for c in RelevanceClass}:
+            raise ValueError(f"unknown relevance token {row['relevance']!r} (want strong/potential/none)")
+        return RegionEntry(int(row["region_id"]), row["region_name"], RelevanceClass(token))
+
+    entries = read_rows(path, RELEVANCE_FIELDS, parse)
     if not entries:
         raise ValueError(f"{path}: empty relevance table")
     return RelevanceTable(tuple(entries))
 
 
 def save_relevance_table(table: RelevanceTable, path) -> None:
-    with replacing(path) as tmp, open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["region_id", "region_name", "relevance"])
-        for e in table.entries:
-            writer.writerow([e.region_id, e.region_name, e.relevance.value])
+    write_rows(path, RELEVANCE_FIELDS, ([e.region_id, e.region_name, e.relevance.value] for e in table.entries))
 
 
 @dataclass(frozen=True)
@@ -184,12 +173,3 @@ class AgingPriorParams:
             raise ValueError(f"zeta ({self.zeta}) must exceed tau ({self.tau}); the two hinge zones would overlap")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-
-
-def age_gap(predicted_age: float, chronological_age: float) -> float:
-    """Predicted brain age minus chronological age, in years."""
-    if not (math.isfinite(predicted_age) and math.isfinite(chronological_age)):
-        raise ValueError("ages must be finite")
-    if chronological_age <= 0:
-        raise ValueError(f"chronological age must be positive, got {chronological_age}")
-    return float(predicted_age) - float(chronological_age)

@@ -13,8 +13,8 @@ two field names, and ``named_params``, ``rebuilt`` and the checkpoint arrays
 all walk those fields in declaration order.
 
 Stage 3's loss and ``predict`` run the same ``diagnoser.head``, so both read
-the corrected logits z + [alpha, -alpha] * (delta - tau), the closed form of
-the paper's softplus-pair correction.
+its age gap delta and the corrected logits z + [alpha, -alpha] * (delta - tau),
+the closed form of the paper's softplus-pair correction.
 
 Forward passes that need no gradient (stage 2's fixed features and
 ``predict``) run on ``ModelParams.frozen()``, a constant view of the same
@@ -50,7 +50,7 @@ from .aggregator import (
 from .atomic import replacing
 from .cohort import Cohort, SubjectRecord
 from .diagnoser import BranchParams, Label, ce_loss_node, classify, decide, head, predict_brain_age, total_loss
-from .priors import AgingPriorParams, RelevanceTable, age_gap
+from .priors import AgingPriorParams, RelevanceTable
 from .volume_io import AtlasVolume
 
 ADAM_BETA1 = 0.9
@@ -352,6 +352,8 @@ class Metrics:
     fpr: float | None
     auc: float | None = None
 
+    RATES = ("acc", "tpr", "fpr", "auc")
+
     @classmethod
     def from_counts(cls, tp: int, tn: int, fp: int, fn: int, auc: float | None = None) -> "Metrics":
         total = tp + tn + fp + fn
@@ -367,20 +369,13 @@ class Metrics:
         )
 
     def to_kv_text(self) -> str:
-        def fmt(x):
-            return "undefined" if x is None else repr(float(x))
+        counts = [f"{k}={getattr(self, k)}" for k in ("tp", "tn", "fp", "fn")]
+        return "\n".join(counts + [kv_rate(k, getattr(self, k)) for k in self.RATES]) + "\n"
 
-        lines = [
-            f"tp={self.tp}",
-            f"tn={self.tn}",
-            f"fp={self.fp}",
-            f"fn={self.fn}",
-            f"acc={fmt(self.acc)}",
-            f"tpr={fmt(self.tpr)}",
-            f"fpr={fmt(self.fpr)}",
-            f"auc={fmt(self.auc)}",
-        ]
-        return "\n".join(lines) + "\n"
+
+def kv_rate(key: str, value: float | None) -> str:
+    """The ``key=value`` line of a rate or AUC, "undefined" when it is None."""
+    return f"{key}={'undefined' if value is None else repr(float(value))}"
 
 
 def predict(
@@ -403,16 +398,14 @@ def predict(
     for rec in cohort:
         fused = _fused(_prepare_one(rec, rec.fetch_volume(), atlas, table), model)
         out = head(fused, rec.age, model.branch1, model.branch2, prior)
-        predicted = out.predicted_age.item()
-        delta = age_gap(predicted, rec.age)
         decision, p_pd = decide(out.corrected)
         records.append(
             PredictionRecord(
                 subject_id=rec.subject_id,
                 label=rec.label,
                 p_pd=p_pd,
-                delta=delta,
-                predicted_age=predicted,
+                delta=out.delta.item(),
+                predicted_age=out.predicted_age.item(),
                 decision=decision,
             )
         )
@@ -528,9 +521,10 @@ def save_checkpoint(
 def load_checkpoint(path) -> tuple[ModelParams, OptimState | None, dict]:
     """Read a checkpoint written by save_checkpoint.
 
-    A file that is not a whole, well-formed checkpoint of this model raises
-    CheckpointError (BadMagic, ShapeMismatch): every declared length is checked
-    against the bytes left in the file before anything that long is read.
+    A file that is not a whole, well-formed checkpoint of this model, or an
+    array that holds a NaN or Inf, raises CheckpointError (BadMagic,
+    ShapeMismatch): every declared length is checked against the bytes left
+    in the file before anything that long is read.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -560,6 +554,8 @@ def load_checkpoint(path) -> tuple[ModelParams, OptimState | None, dict]:
                 named[name] = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape).copy()
             except ValueError as exc:  # an empty array with too many or too large dimensions
                 raise CheckpointError(f"array {name}: shape {shape} is not a numpy shape") from exc
+            if not np.isfinite(named[name]).all():
+                raise CheckpointError(f"array {name} holds NaN or Inf")
         if fh.tell() != size:
             raise CheckpointError(f"{size - fh.tell()} trailing bytes after the last array")
 

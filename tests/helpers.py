@@ -16,6 +16,18 @@ def tsum(a: Tensor) -> Tensor:
     return Tensor(np.sum(a.data), parents=(a,), backward=lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
 
 
+def graph_nodes(root: Tensor) -> int:
+    """Number of distinct tensors reachable from ``root`` through ``_parents``, root included."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
 def param_tensors(*parts) -> list[Tensor]:
     """The tensors of model parts (encoder, fusion, branch), in field order."""
     return [getattr(p, f.name) for p in parts for f in dataclasses.fields(p)]

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import gradient_check, tsum
+from helpers import gradient_check, graph_nodes, tsum
 from pddiag import autodiff as ad
 
 
@@ -222,10 +222,10 @@ class TestPrimitives:
         ad.backward(out)
         assert (x.grad == [0.0, 0.0, 1.0]).all()
 
-    def test_logsumexp_value_and_stability(self):
+    def test_cross_entropy_value_and_stability(self):
         z = ad.constant(np.array([1000.0, 1000.0]))
-        out = ad.logsumexp(z)
-        assert out.item() == pytest.approx(1000.0 + np.log(2.0))
+        out = ad.cross_entropy(z, 0)
+        assert out.item() == pytest.approx(np.log(2.0))
 
     def test_pick_and_linear(self):
         w = ad.constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -269,9 +269,60 @@ class TestPrimitives:
 
         def loss():
             h = ad.relu(ad.linear(w, x, b))
-            return ad.sub(ad.logsumexp(h), ad.pick(ad.mul(h, h), 0))
+            return ad.sub(ad.cross_entropy(h, 1), ad.pick(ad.mul(h, h), 0))
 
         assert gradient_check(loss, [w, b], probe_count=30, seed=4) < 1e-7
+
+
+def composed_cross_entropy(z, index, g):
+    """Value and input gradient of sub(logsumexp(z), pick(z, index)) at upstream gradient g, node by node."""
+    m = np.max(z)
+    lse = np.log(np.sum(np.exp(z - m))) + m
+    value = np.asarray(lse) - np.asarray(z[index])
+    g = np.asarray(g)
+    picked = np.zeros_like(z)
+    picked[index] = -g
+    # the engine reaches logsumexp before pick, so its gradient is held first
+    return value, g * np.exp(z - lse) + picked
+
+
+class TestCrossEntropy:
+    """ad.cross_entropy against the three-node composition it replaced, bit for bit."""
+
+    LOGITS = [
+        *np.random.default_rng(8).normal(0.0, 3.0, size=(20, 2)),
+        [1000.0, 1000.0],
+        [1000.0, -1000.0],
+        [-1000.0, 1000.0],
+        [-1000.0, -1000.0],
+        [0.0, -0.0],
+    ]
+
+    # a loss's upstream gradient is the positive backward seed (1 / batch size); with a
+    # negative g an underflowed exp would give -0.0 where the composition added +0.0
+    @pytest.mark.parametrize("index", [0, 1])
+    @pytest.mark.parametrize("g", [1.0, 0.25, 1.0 / 3.0])
+    def test_bitwise_equals_composition(self, index, g):
+        for z in self.LOGITS:
+            z = np.array(z, dtype=np.float64)
+            want_value, want_grad = composed_cross_entropy(z, index, g)
+            logits = ad.parameter(z)
+            out = ad.cross_entropy(logits, index)
+            assert out.data.tobytes() == want_value.tobytes()
+            ad.backward(out, seed=g)
+            assert logits.grad.tobytes() == want_grad.tobytes()
+
+    def test_is_one_node(self):
+        logits = ad.parameter(np.array([0.5, -1.0]))
+        out = ad.cross_entropy(logits, 1)
+        assert out._parents == (logits,)
+        assert graph_nodes(out) == 2
+
+    def test_gradient_check(self):
+        rng = np.random.default_rng(9)
+        z = ad.parameter(rng.standard_normal(2))
+        for index in (0, 1):
+            assert gradient_check(lambda: ad.cross_entropy(z, index), [z], probe_count=10, seed=index) < 1e-7
 
 
 RELU_SPECIALS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0]

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pddiag.cli import PREDICTION_FIELDS, _config, build_parser, main, read_predictions
+from pddiag.cli import PREDICTION_FIELDS, _config, build_parser, main, read_predictions, write_predictions
 from pddiag.config import SCHEMA, ConfigError, RunConfig, load_config
+from pddiag.diagnoser import Label
 from pddiag.preprocess import ToolConfig
 from pddiag.priors import AgingPriorParams
 from pddiag.synth import SynthConfig
-from pddiag.training import TrainConfig, load_checkpoint, save_checkpoint_atomic
+from pddiag.training import PredictionRecord, TrainConfig, load_checkpoint, save_checkpoint_atomic
 
 
 def tree_digest(root: Path) -> dict:
@@ -147,6 +148,17 @@ class TestPredictEvaluateReport:
         assert code == 0
         assert again.read_bytes() == mini_run["pred"].read_bytes()
 
+    @pytest.mark.parametrize("name", ["branch1.head_b", "branch2.head_b", "branch2.conv_w"])
+    def test_non_finite_checkpoint_writes_no_predictions(self, tmp_path, mini_run, capsys, name):
+        params = load_checkpoint(mini_run["out"] / "stage3.ckpt")[0]
+        dict(params.named_params())[name].data.flat[0] = float("nan")
+        ckpt = tmp_path / "nan.ckpt"
+        save_checkpoint_atomic(params, None, ckpt, stage=3)
+        out = tmp_path / "pred.csv"
+        assert run_cli("predict", "--checkpoint", ckpt, "--out", out, *mini_run["common"]) == 1
+        assert f"array {name} holds NaN or Inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_predictions_parse(self, mini_run):
         records = read_predictions(mini_run["pred"])
         assert len(records) == 16
@@ -220,6 +232,18 @@ class TestReadPredictions:
         with pytest.raises(ValueError, match=message) as info:
             read_predictions(path)
         assert f"{path}, line 3: " in str(info.value)
+
+    def test_written_bytes(self, tmp_path):
+        records = [
+            PredictionRecord('a,"b', Label.PD, 0.1, -2.5, 62.5, Label.OTHER),
+            PredictionRecord("u1", None, 0.75, 1e-05, 66.0, Label.PD),
+        ]
+        write_predictions(records, tmp_path / "pred.csv")
+        assert (tmp_path / "pred.csv").read_bytes() == (
+            b"subject_id,label,p_pd,delta,predicted_age,decision\r\n"
+            b'"a,""b",pd,0.1,-2.5,62.5,other\r\n'
+            b"u1,,0.75,1e-05,66.0,pd\r\n"
+        )
 
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "pred.csv"

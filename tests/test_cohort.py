@@ -33,6 +33,22 @@ class TestReadManifest:
             ("s3", 55.0, None, False, None),
         ]
 
+    def test_written_bytes(self, tmp_path):
+        cohort = Cohort(
+            [
+                SubjectRecord('a,"b', 0.1, Label.PD, path="vol/a.nii"),
+                SubjectRecord("u1", 65.0),
+                SubjectRecord("h1", 70.25, Label.OTHER, is_healthy=True, path="/abs/h1.nii"),
+            ]
+        )
+        write_manifest(cohort, tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_bytes() == (
+            b"subject_id,path,age,label,is_healthy\r\n"
+            b'"a,""b",vol/a.nii,0.1,pd,0\r\n'
+            b"u1,,65.0,,0\r\n"
+            b"h1,/abs/h1.nii,70.25,other,1\r\n"
+        )
+
     def test_relative_paths_resolve_against_the_manifest(self, tmp_path):
         cohort = read_manifest(manifest(tmp_path, "s1,vol/s1.nii,60.0,pd,0"))
         assert cohort[0].path == str(tmp_path / "vol" / "s1.nii")

@@ -266,3 +266,64 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="unique"):
             run_pipeline([a, b], harness.config())
         assert harness.invocations() == 0
+
+    @pytest.mark.parametrize(
+        "strip_cmd",
+        [
+            """sh -c 'cp "$0" "${1}"' {input} {output}""",  # a positional field
+            "cp {input} {output} {home}",  # an unknown name
+            "cp {input} {output} }",  # a single closing brace
+            "cp {input} {output} {input.suffix}",  # an attribute of the path string
+        ],
+    )
+    def test_unfillable_template_rejected_before_any_subject(self, harness, strip_cmd):
+        cfg = harness.config(strip_cmd=strip_cmd)
+        with pytest.raises(ToolConfigError, match=r"cannot fill command template .*\{\{ or \}\}"):
+            run_pipeline(harness.subjects(2), cfg)
+        assert harness.invocations() == 0
+        assert not (Path(cfg.cache_dir) / "manifest.jsonl").exists()
+
+    def test_doubled_brace_runs(self, harness):
+        cfg = harness.config(strip_cmd="""sh -c 'cp "$0" "${{1}}"' {input} {output}""")
+        records = run_pipeline(harness.subjects(2), cfg)
+        assert all(r.ok for r in records), [r.error for r in records]
+        assert harness.invocations() == 4  # bias and register; the strip step ran sh
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_which_calls_do_not_grow_with_subjects(self, harness, monkeypatch, n):
+        calls = []
+        which = preprocess.shutil.which
+
+        def counted(name, *args, **kwargs):
+            calls.append(name)
+            return which(name, *args, **kwargs)
+
+        monkeypatch.setattr(preprocess.shutil, "which", counted)
+        records = run_pipeline(harness.subjects(n), harness.config())
+        assert all(r.ok for r in records)
+        assert calls == [sys.executable]  # one program, resolved once per run
+
+    def test_missing_program_fails_every_subject(self, harness):
+        records = run_pipeline(harness.subjects(3), harness.config(bias_cmd="no-such-tool-xyz {input} {output}"))
+        for rec in records:
+            assert rec.steps == {"strip": "ran", "bias": "failed"}
+            assert rec.error == "command not found: no-such-tool-xyz"
+
+
+class TestPipelineRecord:
+    def test_json_of_every_field(self):
+        rec = preprocess.PipelineRecord(
+            subject_id="s1",
+            steps={"strip": "ran", "bias": "failed"},
+            output_path="/out/s1.nii",
+            digest="ab12",
+            cache_key="cd34",
+            error="bias exited 1",
+            started_at=1.5,
+            finished_at=2.25,
+        )
+        assert rec.to_json() == (
+            '{"cache_key": "cd34", "digest": "ab12", "error": "bias exited 1", "finished_at": 2.25, '
+            '"output_path": "/out/s1.nii", "started_at": 1.5, "steps": {"bias": "failed", "strip": "ran"}, '
+            '"subject_id": "s1"}'
+        )

@@ -13,7 +13,6 @@ from pddiag.priors import (
     RegionEntry,
     RelevanceClass,
     RelevanceTable,
-    age_gap,
     default_relevance_table,
     load_relevance_table,
     save_relevance_table,
@@ -88,6 +87,15 @@ class TestTableIo:
         table = default_relevance_table()
         save_relevance_table(table, tmp_path / "rel.csv")
         assert load_relevance_table(tmp_path / "rel.csv") == table
+
+    def test_written_bytes(self, tmp_path):
+        table = RelevanceTable(
+            (RegionEntry(2, "Plain", RelevanceClass.NONE), RegionEntry(1, 'Gyrus, "A"', RelevanceClass.STRONG))
+        )
+        save_relevance_table(table, tmp_path / "rel.csv")
+        assert (tmp_path / "rel.csv").read_bytes() == (
+            b"region_id,region_name,relevance\r\n" b'1,"Gyrus, ""A""",strong\r\n' b"2,Plain,none\r\n"
+        )
 
     def test_minimal_two_row_table(self, tmp_path):
         p = tmp_path / "two.csv"
@@ -190,22 +198,3 @@ class TestAgingPrior:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             AgingPriorParams(zeta=math.inf)
-
-
-class TestAgeGap:
-    def test_simple_values(self):
-        assert age_gap(70.0, 65.0) == 5.0
-        assert age_gap(65.0, 65.0) == 0.0
-        assert age_gap(60.2, 70.0) == pytest.approx(-9.8, abs=1e-12)
-
-    def test_antisymmetric(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            a, b = rng.uniform(1, 120, size=2)
-            assert age_gap(a, b) == -age_gap(b, a)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            age_gap(float("nan"), 60.0)
-        with pytest.raises(ValueError):
-            age_gap(70.0, 0.0)

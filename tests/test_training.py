@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gradient_check
+from helpers import gradient_check, graph_nodes
 from pddiag import autodiff as ad
 from pddiag import training as tr
 from pddiag.aggregator import encode_dense, region_average_pool, upsample_fuse, weighted_aggregate
 from pddiag.cli import main as cli_main
 from pddiag.cohort import Cohort, SubjectRecord, read_manifest
-from pddiag.diagnoser import Label, decide, total_loss
+from pddiag.diagnoser import Label, ce_loss_node, classify, decide, total_loss
 from pddiag.priors import AgingPriorParams, load_relevance_table
 from pddiag.synth import SynthConfig, generate_cohort
 from pddiag.volume_io import Volume3D, read_atlas
@@ -326,6 +326,16 @@ class TestCheckpoints:
         with pytest.raises(tr.CheckpointError):
             tr.load_checkpoint(path)
 
+    @pytest.mark.parametrize("name", ["branch1.head_b", "branch2.head_w", "encoder.conv1_w"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_array_rejected(self, tmp_path, name, bad):
+        params = tr.ModelParams.init(4, seed=0)
+        dict(params.named_params())[name].data.flat[-1] = bad
+        path = tmp_path / "m.ckpt"
+        tr.save_checkpoint(params, None, path)
+        with pytest.raises(tr.CheckpointError, match=f"array {name} holds NaN or Inf"):
+            tr.load_checkpoint(path)
+
     def test_trailing_bytes(self, tmp_path):
         path = self._saved(tmp_path)
         path.write_bytes(path.read_bytes() + b"\0" * 8)
@@ -387,6 +397,20 @@ class TestTrainConfig:
 
 
 class TestTrainStage:
+    def test_graph_nodes_per_sample(self, tiny_setup):
+        """The per-sample loss graphs of stages 1 and 3, counted as the backward engine walks them."""
+        cohort, sa = tiny_setup
+        rec = cohort[0]
+        params = tr.ModelParams.init(4, seed=0)
+        agg = weighted_aggregate(region_average_pool(rec.volume, sa.atlas), sa.table)
+
+        def fused():
+            return upsample_fuse(agg, encode_dense(rec.volume, params.encoder), params.fusion)
+
+        stage1 = ce_loss_node(classify(fused(), params.branch1), rec.label)
+        stage3 = total_loss(fused(), rec.age, rec.label, params.branch1, params.branch2, PRIOR).node
+        assert (graph_nodes(stage1), graph_nodes(stage3)) == (20, 39)
+
     def test_invalid_stage(self, tiny_setup):
         cohort, sa = tiny_setup
         with pytest.raises(tr.InvalidStage):
