@@ -96,54 +96,6 @@ def backward(root: Tensor, seed: float = 1.0) -> None:
             grads[id(p)] = pg if held is None else held + pg
 
 
-def _reduce_to(g: Array, shape: tuple) -> Array:
-    """Sum a broadcast gradient back down to the operand's shape."""
-    if g.shape == shape:
-        return g
-    lead = g.ndim - len(shape)
-    stretched = tuple(lead + i for i, n in enumerate(shape) if n == 1 and g.shape[lead + i] != 1)
-    return np.sum(g, axis=tuple(range(lead)) + stretched).reshape(shape)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data + b.data
-
-    def back(g):
-        return _reduce_to(g, a.data.shape), _reduce_to(g, b.data.shape)
-
-    return Tensor(out, parents=(a, b), backward=back)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-
-    def back(g):
-        return _reduce_to(g, a.data.shape), _reduce_to(-g, b.data.shape)
-
-    return Tensor(out, parents=(a, b), backward=back)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
-
-    def back(g):
-        return _reduce_to(g * b.data, a.data.shape), _reduce_to(g * a.data, b.data.shape)
-
-    return Tensor(out, parents=(a, b), backward=back)
-
-
-def relu(a: Tensor) -> Tensor:
-    """max(a, 0), with NaN mapped to 0 and -0.0 to +0.0, as np.where(a > 0, a, 0.0).
-
-    When ``a`` needs a gradient the mask a > 0 is kept for backward. Otherwise
-    the result is one fresh array and no mask is made; ``a`` is never written.
-    """
-    if a.requires_grad:
-        mask = a.data > 0.0
-        return Tensor(np.where(mask, a.data, 0.0), parents=(a,), backward=lambda g: (g * mask,))
-    return Tensor(_relu_values(a.data))
-
-
 def _relu_values(a: Array, out: Array | None = None) -> Array:
     # fmax maps NaN to 0 but may keep -0.0 for -0.0; adding +0.0 turns that
     # into +0.0, so the result is bitwise np.where(a > 0, a, 0.0)
@@ -182,17 +134,29 @@ def pick(a: Tensor, index: int) -> Tensor:
     return Tensor(out, parents=(a,), backward=back)
 
 
+def cross_entropy_values(logits: Array, index: int) -> tuple[Array, Callable[[Array], Array]]:
+    """logsumexp(logits) - logits[index] on plain arrays, and the map from its upstream gradient g to d/d(logits)."""
+    m = np.max(logits)
+    lse = np.log(np.sum(np.exp(logits - m))) + m
+
+    def grad(g):
+        ga = g * np.exp(logits - lse)
+        ga[index] -= g
+        return ga
+
+    return lse - logits[index], grad
+
+
 def cross_entropy(logits: Tensor, index: int) -> Tensor:
     """logsumexp(logits) - logits[index]: the cross entropy of softmax(logits) at ``index``, as one node."""
-    m = np.max(logits.data)
-    lse = np.log(np.sum(np.exp(logits.data - m))) + m
+    value, grad = cross_entropy_values(logits.data, index)
+    return Tensor(value, parents=(logits,), backward=lambda g: (grad(g),))
 
-    def back(g):
-        ga = g * np.exp(logits.data - lse)
-        ga[index] -= g
-        return (ga,)
 
-    return Tensor(lse - logits.data[index], parents=(logits,), backward=back)
+def squared_error(a: Tensor, target: float) -> Tensor:
+    """(a - target)², as one node; backward sums g * err twice, as for a product with a shared factor."""
+    err = a.data - target
+    return Tensor(err * err, parents=(a,), backward=lambda g: (g * err + g * err,))
 
 
 def linear(w: Tensor, x: Tensor, b: Tensor) -> Tensor:

@@ -112,9 +112,11 @@ def load_config(path=None) -> RunConfig:
     if path is None:
         return cfg
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (OSError, configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if parser.defaults():
         raise ConfigError(f"unknown config keys in [DEFAULT]: {sorted(parser.defaults())}")
     for section in parser.sections():

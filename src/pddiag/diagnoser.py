@@ -81,21 +81,20 @@ def predict_brain_age(fused: Tensor, params: BranchParams) -> Tensor:
     return ad.pick(out, 0)
 
 
-def phi(delta: Tensor, tau: float) -> Tensor:
+def phi(delta: float, tau: float) -> float:
     """The paper's softplus(delta - tau) - softplus(tau - delta), in its closed form delta - tau."""
-    return ad.sub(delta, ad.constant(tau))
+    return delta - tau
 
 
-def age_loss(delta: Tensor, label: Label, prior: AgingPriorParams) -> Tensor:
-    """Hinge penalty: PD below zeta, others above tau."""
-    if label is Label.PD:
-        return ad.relu(ad.sub(ad.constant(prior.zeta), delta))
-    return ad.relu(ad.sub(delta, ad.constant(prior.tau)))
+def age_loss(delta: float, label: Label, prior: AgingPriorParams) -> float:
+    """Hinge penalty: PD below zeta, others above tau; a NaN gap scores 0, as a ReLU maps it."""
+    gap = prior.zeta - delta if label is Label.PD else delta - prior.tau
+    return gap if gap > 0.0 else 0.0
 
 
-def decide(z_tilde: Tensor) -> tuple[Label, float]:
+def decide(z_tilde: np.ndarray) -> tuple[Label, float]:
     """Softmax readout of (2,) logits; PD iff p_pd > 0.5, exact ties go to OTHER."""
-    d = float(z_tilde.data[0]) - float(z_tilde.data[1])
+    d = float(z_tilde[0]) - float(z_tilde[1])
     if d >= 0:
         p_pd = 1.0 / (1.0 + math.exp(-d))
     else:
@@ -111,9 +110,10 @@ def ce_loss_node(logits: Tensor, label: Label) -> Tensor:
 
 @dataclass
 class HeadOutput:
+    z: Tensor  # (2,) logits of branch 1
     predicted_age: Tensor  # scalar, years
-    delta: Tensor  # scalar age gap: predicted minus chronological
-    corrected: Tensor  # (2,) logits z + [alpha, -alpha] * phi(delta, tau)
+    delta: float  # age gap: predicted minus chronological
+    corrected: np.ndarray  # (2,) logits z + [alpha, -alpha] * phi(delta, tau)
 
 
 def head(
@@ -129,10 +129,10 @@ def head(
     parameters and reads the corrected logits with decide().
     """
     pred = predict_brain_age(fused, branch2)
-    delta = ad.sub(pred, ad.constant(age_chrono))
+    delta = pred.item() - age_chrono
     z = classify(fused, branch1)
-    shift = ad.mul(ad.constant(np.array([prior.alpha, -prior.alpha])), phi(delta, prior.tau))
-    return HeadOutput(predicted_age=pred, delta=delta, corrected=ad.add(z, shift))
+    corrected = z.data + np.array([prior.alpha, -prior.alpha]) * phi(delta, prior.tau)
+    return HeadOutput(z=z, predicted_age=pred, delta=delta, corrected=corrected)
 
 
 @dataclass
@@ -141,7 +141,7 @@ class LossBreakdown:
     age: float
     cls: float
     delta: float
-    corrected: Tensor  # (2,) age-corrected logits
+    corrected: np.ndarray  # (2,) age-corrected logits
 
 
 def total_loss(
@@ -152,18 +152,26 @@ def total_loss(
     branch2: BranchParams,
     prior: AgingPriorParams,
 ) -> LossBreakdown:
-    """Hinge age loss plus corrected cross entropy, end-to-end differentiable.
+    """Hinge age loss plus corrected cross entropy, as one node over z and the predicted age.
 
-    The age gap feeds both the hinge term and the logit correction, so
-    gradients reach branch 2 through both paths.
+    The predicted age's gradient sums the correction's sum(gz * [alpha, -alpha])
+    and the hinge's slope times g; an inactive hinge's slope is a zero of the
+    active slope's sign, so each gradient is bitwise the node-by-node one.
     """
     out = head(fused, age_chrono, branch1, branch2, prior)
     l_age = age_loss(out.delta, label, prior)
-    l_cls = ce_loss_node(out.corrected, label)
+    l_cls, cls_grad = ad.cross_entropy_values(out.corrected, 0 if label is Label.PD else 1)
+    slope = (-1.0 if label is Label.PD else 1.0) * (1.0 if l_age > 0.0 else 0.0)
+    shift = np.array([prior.alpha, -prior.alpha])
+
+    def back(g):
+        gz = cls_grad(g)
+        return gz, np.sum(gz * shift) + slope * g
+
     return LossBreakdown(
-        node=ad.add(l_age, l_cls),
-        age=l_age.item(),
-        cls=l_cls.item(),
-        delta=out.delta.item(),
+        node=Tensor(l_age + l_cls, parents=(out.z, out.predicted_age), backward=back),
+        age=l_age,
+        cls=float(l_cls),
+        delta=out.delta,
         corrected=out.corrected,
     )

@@ -299,8 +299,7 @@ def train_stage(
                 if stage == 1:
                     node = ce_loss_node(classify(_fused(prep, params), params.branch1), prep.record.label)
                 elif stage == 2:
-                    err = ad.sub(predict_brain_age(fixed[idx], params.branch2), ad.constant(prep.record.age))
-                    node = ad.mul(err, err)
+                    node = ad.squared_error(predict_brain_age(fixed[idx], params.branch2), prep.record.age)
                 else:
                     breakdown = total_loss(
                         _fused(prep, params), prep.record.age, prep.record.label, params.branch1, params.branch2, prior
@@ -404,7 +403,7 @@ def predict(
                 subject_id=rec.subject_id,
                 label=rec.label,
                 p_pd=p_pd,
-                delta=out.delta.item(),
+                delta=out.delta,
                 predicted_age=out.predicted_age.item(),
                 decision=decision,
             )
@@ -449,9 +448,11 @@ def _to_binary_labels(labels) -> np.ndarray:
 
 
 def roc_points(scores, labels) -> list[tuple[float, float, float]]:
-    """(fpr, tpr, threshold) rows from a descending threshold sweep."""
+    """(fpr, tpr, threshold) rows from a descending threshold sweep; a NaN score raises ValueError."""
     y = _to_binary_labels(labels)
     s = np.asarray(scores, dtype=np.float64)
+    if np.isnan(s).any():
+        raise ValueError(f"scores[{np.isnan(s).argmax()}] is NaN")
     n_pos = int(y.sum())
     n_neg = int(len(y) - n_pos)
     if n_pos == 0 or n_neg == 0:

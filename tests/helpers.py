@@ -16,6 +16,11 @@ def tsum(a: Tensor) -> Tensor:
     return Tensor(np.sum(a.data), parents=(a,), backward=lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
 
 
+def tdot(a: Tensor, coeff) -> Tensor:
+    """Sum of every element of ``a`` weighted by the array ``coeff``, as a scalar graph node."""
+    return Tensor(np.sum(a.data * coeff), parents=(a,), backward=lambda g: (g * coeff,))
+
+
 def graph_nodes(root: Tensor) -> int:
     """Number of distinct tensors reachable from ``root`` through ``_parents``, root included."""
     seen = {id(root)}

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import gradient_check, param_tensors, softplus_pair, tsum
+from helpers import gradient_check, param_tensors, softplus_pair, tdot
 from pddiag import autodiff as ad
 from pddiag import training as tr
 from pddiag import volume_io as vio
@@ -79,9 +79,9 @@ def test_criterion_01_phi_identity():
     worst = 0.0
     for tau in (0.0, 4.5, 10.0):
         for delta in np.arange(-50.0, 50.0 + 1e-9, 0.1):
-            worst = max(worst, abs(phi(ad.constant(delta), tau).item() - softplus_pair(delta - tau)))
+            worst = max(worst, abs(phi(delta, tau) - softplus_pair(delta - tau)))
         for delta in (tau + 1000.0, tau - 1000.0):  # overflow-safe far path
-            worst = max(worst, abs(phi(ad.constant(delta), tau).item() - softplus_pair(delta - tau)))
+            worst = max(worst, abs(phi(delta, tau) - softplus_pair(delta - tau)))
     elapsed = time.time() - t0
     assert worst < 1e-9
     assert elapsed < 1.0
@@ -90,14 +90,14 @@ def test_criterion_01_phi_identity():
 
 def test_criterion_02_hinge_zones():
     for delta in np.linspace(9.5, 200.0, 25):
-        assert age_loss(ad.constant(delta), Label.PD, PRIOR).item() == 0.0
+        assert age_loss(delta, Label.PD, PRIOR) == 0.0
     for delta in np.linspace(-200.0, 4.5, 25):
-        assert age_loss(ad.constant(delta), Label.OTHER, PRIOR).item() == 0.0
+        assert age_loss(delta, Label.OTHER, PRIOR) == 0.0
     rng = np.random.default_rng(2)
     worst = 0.0
     for delta in rng.uniform(-40, 40, size=20):
-        worst = max(worst, abs(age_loss(ad.constant(delta), Label.PD, PRIOR).item() - max(0.0, 9.5 - delta)))
-        worst = max(worst, abs(age_loss(ad.constant(delta), Label.OTHER, PRIOR).item() - max(0.0, delta - 4.5)))
+        worst = max(worst, abs(age_loss(delta, Label.PD, PRIOR) - max(0.0, 9.5 - delta)))
+        worst = max(worst, abs(age_loss(delta, Label.OTHER, PRIOR) - max(0.0, delta - 4.5)))
     assert worst < 1e-12
     report(2, f"hinges exactly zero on their zones; 20-point linear-penalty error {worst:.2e}")
 
@@ -156,27 +156,31 @@ def test_criterion_05_gradient_checks():
     b2 = BranchParams.init(4, 1, rng, head_bias=65.0)
     vol = rng.standard_normal((8, 8, 8))
     agg = AggregatedFeature(0.8, 0.3)
-    coeff_dense = ad.constant(rng.standard_normal((4, 2, 2, 2)))
-    coeff_z = ad.constant(rng.standard_normal(2))
+    coeff_dense = rng.standard_normal((4, 2, 2, 2))
+    coeff_z = rng.standard_normal(2)
 
     def fused():
         return upsample_fuse(agg, encode_dense(vol, enc), proj)
 
     checks = {
         "encode_dense": (
-            lambda: tsum(ad.mul(encode_dense(vol, enc), coeff_dense)),
+            lambda: tdot(encode_dense(vol, enc), coeff_dense),
             param_tensors(enc),
         ),
         "upsample_fuse": (
-            lambda: tsum(ad.mul(fused(), coeff_dense)),
+            lambda: tdot(fused(), coeff_dense),
             param_tensors(proj, enc),
         ),
         "classify": (
-            lambda: tsum(ad.mul(classify(fused(), b1), coeff_z)),
+            lambda: tdot(classify(fused(), b1), coeff_z),
             param_tensors(b1),
         ),
         "predict_brain_age": (
             lambda: predict_brain_age(fused(), b2),
+            param_tensors(b2),
+        ),
+        "stage2_objective": (
+            lambda: ad.squared_error(predict_brain_age(fused(), b2), 62.0),
             param_tensors(b2),
         ),
         "total_loss": (
@@ -230,11 +234,11 @@ def test_criterion_07_synthetic_end_to_end(e2e):
     # after stage 3 the margins are respected on average over the training data
     _, train_records = evaluate(e2e["models"][0], e2e["train"], e2e["atlas"], e2e["table"], PRIOR)
     hinge_pd = float(
-        np.mean([age_loss(ad.constant(r.delta), Label.PD, PRIOR).item() for r in train_records if r.label is Label.PD])
+        np.mean([age_loss(r.delta, Label.PD, PRIOR) for r in train_records if r.label is Label.PD])
     )
     hinge_ot = float(
         np.mean(
-            [age_loss(ad.constant(r.delta), Label.OTHER, PRIOR).item() for r in train_records if r.label is Label.OTHER]
+            [age_loss(r.delta, Label.OTHER, PRIOR) for r in train_records if r.label is Label.OTHER]
         )
     )
     assert hinge_pd < 0.5 and hinge_ot < 0.5, f"train hinge losses {hinge_pd}, {hinge_ot}"

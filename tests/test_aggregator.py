@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import gradient_check, param_tensors, tsum, zero_fusion
-from pddiag import autodiff as ad
+from helpers import gradient_check, param_tensors, tdot, zero_fusion
 from pddiag.aggregator import (
     AggregatedFeature,
     ChannelMismatch,
@@ -57,7 +56,7 @@ class TestEncodeDense:
         coeff = rng.standard_normal((4, 2, 2, 2))
 
         def loss():
-            return tsum(ad.mul(encode_dense(vol, params), ad.constant(coeff)))
+            return tdot(encode_dense(vol, params), coeff)
 
         tensors = param_tensors(params)
         assert gradient_check(loss, tensors, probe_count=60, seed=5) < 1e-4
@@ -208,7 +207,7 @@ class TestUpsampleFuse:
         def loss():
             dense = encode_dense(vol, enc)
             fused = upsample_fuse(AggregatedFeature(0.7, 0.4), dense, proj)
-            return tsum(ad.mul(fused, ad.constant(coeff)))
+            return tdot(fused, coeff)
 
         tensors = param_tensors(proj, enc)
         assert gradient_check(loss, tensors, probe_count=60, seed=17) < 1e-4

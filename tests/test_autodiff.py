@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import gradient_check, graph_nodes, tsum
+from helpers import gradient_check, graph_nodes, tdot, tsum
 from pddiag import autodiff as ad
 
 
@@ -123,7 +123,7 @@ class TestConv:
         (x, _, _), const = conv_inputs(shape, GRAD_FLAGS["no-grad"])
         _, grad = conv_inputs(shape, GRAD_FLAGS["w-grad"])
         out = ad.conv_relu(*const)
-        assert out.data.tobytes() == ad.relu(ad.conv3d_down(*grad)).data.tobytes()
+        assert out.data.tobytes() == relu_reference(ad.conv3d_down(*grad).data).tobytes()
         assert ad.conv_relu(*grad).data.tobytes() == out.data.tobytes()
         assert const[0].data.tobytes() == x.tobytes()
 
@@ -133,11 +133,17 @@ class TestConv:
         w[0], b[0] = 0.0, 0.0  # output channel 0 has exact-zero pre-activations
         coeff = np.random.default_rng(2).standard_normal(ad.conv3d_down(*map(ad.constant, (x, w, b))).shape)
         results = []
-        for op in (ad.conv_relu, lambda *t: ad.relu(ad.conv3d_down(*t))):
+        for by_hand in (False, True):
             tensors = [ad.parameter(a) for a in (x, w, b)]
-            out = op(*tensors)
-            ad.backward(tsum(ad.mul(out, ad.constant(coeff))))
-            results.append([out.data.tobytes()] + [t.grad.tobytes() for t in tensors])
+            if by_hand:  # the ReLU after the conv: np.where forward, g * mask backward
+                pre = ad.conv3d_down(*tensors)
+                data = relu_reference(pre.data)
+                ad.backward(tdot(pre, coeff * (pre.data > 0.0)))
+            else:
+                out = ad.conv_relu(*tensors)
+                data = out.data
+                ad.backward(tdot(out, coeff))
+            results.append([data.tobytes()] + [t.grad.tobytes() for t in tensors])
         assert (np.frombuffer(results[0][0])[: coeff[0].size] == 0.0).all()
         assert results[0] == results[1]
 
@@ -156,10 +162,11 @@ class TestConv:
         def loss(tensors, seed):
             out = ad.conv_relu(*tensors)
             coeff = np.random.default_rng(seed + 10).standard_normal(out.shape)
-            return tsum(ad.mul(out, ad.constant(coeff)))
+            return tdot(out, coeff)
 
         joint = [leaves(0), leaves(1)]
-        ad.backward(ad.add(loss(joint[0], 0), loss(joint[1], 1)))
+        for root in [loss(tensors, seed) for seed, tensors in enumerate(joint)]:  # both forwards first
+            ad.backward(root)
         for seed, tensors in enumerate(joint):
             alone = leaves(seed)
             ad.backward(loss(alone, seed))
@@ -195,33 +202,12 @@ class TestConv:
         coeff = rng.standard_normal((3, 2, 2, 2))
 
         def loss():
-            return tsum(ad.mul(ad.conv3d_down(x, w, b), ad.constant(coeff)))
+            return tdot(ad.conv3d_down(x, w, b), coeff)
 
         assert gradient_check(loss, [x, w, b], probe_count=80, seed=2) < 1e-6
 
 
 class TestPrimitives:
-    def test_add_mul_sub_values(self):
-        a = ad.constant(np.array([1.0, 2.0]))
-        b = ad.constant(np.array([3.0, 5.0]))
-        assert (ad.add(a, b).data == [4.0, 7.0]).all()
-        assert (ad.mul(a, b).data == [3.0, 10.0]).all()
-        assert (ad.sub(a, b).data == [-2.0, -3.0]).all()
-
-    def test_scalar_broadcast_grad(self):
-        s = ad.parameter(2.0)
-        v = ad.constant(np.array([1.0, -3.0, 4.0]))
-        out = tsum(ad.mul(v, s))
-        ad.backward(out)
-        assert s.grad == pytest.approx(2.0)  # sum of v
-
-    def test_relu_gate(self):
-        x = ad.parameter(np.array([-1.0, 0.0, 2.0]))
-        out = tsum(ad.relu(x))
-        assert out.item() == 2.0
-        ad.backward(out)
-        assert (x.grad == [0.0, 0.0, 1.0]).all()
-
     def test_cross_entropy_value_and_stability(self):
         z = ad.constant(np.array([1000.0, 1000.0]))
         out = ad.cross_entropy(z, 0)
@@ -247,29 +233,17 @@ class TestPrimitives:
         assert (out.data[0] == 1.0).all()
         assert (out.data[1] == -2.0).all()
 
-    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul], ids=lambda f: f.__name__)
-    @pytest.mark.parametrize(
-        "shapes", [((3,), ()), ((4, 4), (4, 1)), ((2, 3, 4), (3, 1)), ((4, 1), (1, 4))], ids=str
-    )
-    def test_broadcast_gradients(self, op, shapes):
-        rng = np.random.default_rng(5)
-        a, b = (ad.parameter(rng.standard_normal(s)) for s in shapes)
-        coeff = ad.constant(rng.standard_normal(np.broadcast_shapes(*shapes)))
-
-        def loss():
-            return tsum(ad.mul(op(a, b), coeff))
-
-        assert gradient_check(loss, [a, b], probe_count=30, seed=6) < 1e-7
-
     def test_composite_gradients(self):
         rng = np.random.default_rng(3)
         w = ad.parameter(rng.standard_normal((3, 4)))
         b = ad.parameter(rng.standard_normal(3))
         x = ad.constant(rng.standard_normal(4))
 
+        mix = ad.constant(rng.standard_normal((3, 3)))
+
         def loss():
-            h = ad.relu(ad.linear(w, x, b))
-            return ad.sub(ad.cross_entropy(h, 1), ad.pick(ad.mul(h, h), 0))
+            h = ad.linear(w, x, b)
+            return ad.cross_entropy(ad.linear(mix, h, h), 1)  # h reaches the loss by two paths
 
         assert gradient_check(loss, [w, b], probe_count=30, seed=4) < 1e-7
 
@@ -325,6 +299,34 @@ class TestCrossEntropy:
             assert gradient_check(lambda: ad.cross_entropy(z, index), [z], probe_count=10, seed=index) < 1e-7
 
 
+class TestSquaredError:
+    """ad.squared_error against mul(err, err) over err = sub(a, constant(target)), bit for bit."""
+
+    CASES = [*np.random.default_rng(17).normal(60.0, 15.0, size=(20, 2)), (65.0, 65.0), (-0.0, 0.0), (1e3, -1e3)]
+
+    @pytest.mark.parametrize("g", [1.0, 0.25, -0.5])
+    def test_bitwise_equals_composition(self, g):
+        for a, target in self.CASES:
+            # mul passed g * err to each of its two operands, err both times, and the engine summed them
+            err = np.float64(a) - target
+            param = ad.parameter(a)
+            out = ad.squared_error(param, target)
+            assert out.data.tobytes() == np.asarray(err * err).tobytes()
+            ad.backward(out, seed=g)
+            assert param.grad.tobytes() == np.asarray(g * err + g * err).tobytes()
+
+    def test_is_one_node(self):
+        a = ad.parameter(2.0)
+        out = ad.squared_error(a, 1.0)
+        assert out._parents == (a,)
+        assert graph_nodes(out) == 2
+
+    def test_gradient_check(self):
+        p = ad.parameter(np.random.default_rng(18).normal(60.0, 10.0, size=3))
+        for index in (0, 2):
+            assert gradient_check(lambda: ad.squared_error(ad.pick(p, index), 62.5), [p], probe_count=10, seed=index) < 1e-7
+
+
 RELU_SPECIALS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0]
 
 
@@ -333,7 +335,7 @@ def relu_reference(a):
 
 
 class TestNoGradRelu:
-    """relu on a constant and conv_relu's in-place ReLU, against np.where bit for bit."""
+    """_relu_values, fresh and in place (as conv_relu runs it), against np.where bit for bit."""
 
     @staticmethod
     def values(n, seed=0):
@@ -345,14 +347,14 @@ class TestNoGradRelu:
     def test_bitwise_equals_where(self, n):
         a = self.values(n, seed=n)
         want = relu_reference(a).tobytes()
-        assert ad.relu(ad.constant(a)).data.tobytes() == want
+        assert ad._relu_values(a).tobytes() == want
         inplace = a.copy()
         ad._relu_values(inplace, out=inplace)
         assert inplace.tobytes() == want
 
     def test_every_special_value(self):
         a = np.array(RELU_SPECIALS)
-        got = ad.relu(ad.constant(a)).data
+        got = ad._relu_values(a)
         assert got.tobytes() == relu_reference(a).tobytes()
         assert not np.signbit(got).any() and not np.isnan(got).any()
 
@@ -363,29 +365,28 @@ class TestNoGradRelu:
     )
     def test_strided_and_0d_views(self, view):
         a = view(self.values(130, seed=7))
-        assert ad.relu(ad.constant(a)).data.tobytes() == relu_reference(a).tobytes()
+        assert ad._relu_values(a).tobytes() == relu_reference(a).tobytes()
 
     @pytest.mark.parametrize("value", RELU_SPECIALS)
     def test_0d_specials(self, value):
         a = np.array(value)
-        assert ad.relu(ad.constant(a)).data.tobytes() == relu_reference(a).tobytes()
+        assert ad._relu_values(a).tobytes() == relu_reference(a).tobytes()
 
     def test_input_left_untouched(self):
         x = self.values(129, seed=3)
         before = x.tobytes()
-        ad.relu(ad.constant(x))
+        ad._relu_values(x)
         assert x.tobytes() == before
 
     def test_keeps_no_mask_or_closure(self):
-        a = ad.constant(np.random.default_rng(0).standard_normal(100_000))
+        a = np.random.default_rng(0).standard_normal(100_000)
         tracemalloc.start()
         try:
-            out = ad.relu(a)
+            out = ad._relu_values(a)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out._parents == () and out._backward is None
-        assert peak <= out.data.nbytes + 4096
+        assert peak <= out.nbytes + 4096  # the result is the one array made
 
 
 class TestEngine:
@@ -396,8 +397,8 @@ class TestEngine:
     def test_grad_accumulates_across_backward_calls(self):
         p = ad.parameter(np.array([1.0, 2.0]))
         for _ in range(2):
-            ad.backward(tsum(ad.mul(p, p)))
-        assert (p.grad == [4.0, 8.0]).all()  # twice 2*p
+            ad.backward(tdot(p, np.array([2.0, 4.0])))
+        assert (p.grad == [4.0, 8.0]).all()  # twice the weights
 
     def test_zero_grads(self):
         p = ad.parameter(np.array([1.0]))
@@ -408,34 +409,41 @@ class TestEngine:
     def test_no_grad_results_keep_no_graph(self):
         x = ad.constant(np.ones((1, 4, 4, 4)))
         w, b = ad.constant(np.ones((2, 1, 3, 3, 3))), ad.constant(np.zeros(2))
-        for out in (ad.relu(ad.conv3d_down(x, w, b)), ad.conv_relu(x, w, b), ad.add(x, x), tsum(x)):
+        for out in (
+            ad.conv3d_down(x, w, b),
+            ad.conv_relu(x, w, b),
+            ad.add_channel_bias(x, ad.constant(np.ones(1))),
+            ad.squared_error(tsum(x), 1.0),
+            tsum(x),
+        ):
             assert not out.requires_grad
             assert out._parents == () and out._backward is None
         tracked = ad.conv3d_down(x, ad.parameter(w.data), b)
         assert tracked.requires_grad and len(tracked._parents) == 3 and tracked._backward is not None
 
     def test_constants_get_no_grad(self):
-        c = ad.constant(np.array([1.0, 2.0]))
+        c = ad.constant(np.array([[1.0, 2.0]]))
         p = ad.parameter(np.array([3.0, 4.0]))
-        ad.backward(tsum(ad.mul(c, p)))
+        ad.backward(tsum(ad.linear(c, p, ad.constant(np.zeros(1)))))
         assert c.grad is None
         assert p.grad is not None
 
     def test_shared_node_grad_sums(self):
-        p = ad.parameter(2.0)
-        out = ad.mul(p, p)  # p appears twice as parent
-        ad.backward(out)
-        assert p.grad == pytest.approx(4.0)
+        p = ad.parameter(np.array([1.0, 2.0]))
+        out = ad.linear(ad.constant(np.eye(2)), p, p)  # p appears twice as parent
+        ad.backward(tsum(out))
+        assert (p.grad == [2.0, 2.0]).all()
 
     def test_seed_scales_gradient(self):
         p = ad.parameter(3.0)
-        ad.backward(ad.mul(p, p), seed=0.5)
+        ad.backward(ad.squared_error(p, 0.0), seed=0.5)
         assert p.grad == pytest.approx(3.0)
 
     def test_diamond_graph(self):
-        p = ad.parameter(2.0)
-        a = ad.mul(p, ad.constant(3.0))
-        b = ad.mul(p, p)
-        out = ad.add(a, b)
+        p = ad.parameter(np.array([2.0]))
+        zero = ad.constant(np.zeros(1))
+        a = ad.linear(ad.constant([[3.0]]), p, zero)
+        b = ad.linear(ad.constant([[2.0]]), p, zero)
+        out = tsum(ad.linear(ad.constant([[1.0]]), a, b))
         ad.backward(out)
-        assert p.grad == pytest.approx(3.0 + 4.0)
+        assert p.grad == pytest.approx(3.0 + 2.0)

@@ -272,6 +272,29 @@ class TestMalformedPredictions:
             read_predictions(path)
 
 
+CONFIG_LINE = st.sampled_from(
+    ["[prior]", "[train]", "[synth]", "[DEFAULT]", "[nonsense]", "[", "zeta = 9.5", "epochs = 3", "epochs = soon",
+     "dims = 1e400", "bogus = 1", "no equals", "  indented", "=", "; comment", "seed = " + "9" * 5000]
+) | st.text(max_size=8)  # fmt: skip
+
+
+class TestMalformedConfig:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        body=st.one_of(
+            st.lists(CONFIG_LINE, max_size=8).map(lambda lines: "\n".join(lines).encode()),
+            st.binary(max_size=200),
+        )
+    )
+    def test_only_config_errors_escape(self, tmp_path_factory, body):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_config.ini"
+        path.write_bytes(body)
+        try:
+            assert isinstance(load_config(path), RunConfig)
+        except ConfigError:
+            pass
+
+
 class TestSplitCommand:
     def test_writes_stratified_fold_manifests(self, tmp_path, mini_run):
         out = tmp_path / "folds"
@@ -373,6 +396,17 @@ class TestConfig:
         path = tmp_path / "bad.ini"
         path.write_text("[train]\nepochs = soon\n")
         with pytest.raises(ConfigError, match="epochs"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"zeta = 9.5\n", b"[prior]\nzeta = 9.5\nzeta = 8.5\n", b"[prior]\nzeta\n", b"[prior]\nzeta = \xff\n"],
+        ids=["no-section-header", "repeated-key", "no-equals", "not-utf8"],
+    )
+    def test_unparsable_file_is_config_error(self, tmp_path, body):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(body)
+        with pytest.raises(ConfigError, match="bad.ini"):
             load_config(path)
 
     def test_dump_config_command(self, tmp_path, capsys):

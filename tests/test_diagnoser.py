@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import gradient_check, param_tensors, softplus_pair, tsum, zero_fusion
+from helpers import gradient_check, param_tensors, softplus_pair, tdot, zero_fusion
 from pddiag import autodiff as ad
 from pddiag.aggregator import AggregatedFeature, EncoderParams, FusionProjection, encode_dense, upsample_fuse
 from pddiag.diagnoser import (
@@ -40,7 +40,7 @@ def zeroed_branch(channels, outputs, biases):
 
 
 def logits(z_pd, z_ot):
-    return ad.constant(np.array([z_pd, z_ot]))
+    return np.array([z_pd, z_ot])
 
 
 def head_on(fused, z, delta, prior, age=60.0):
@@ -82,7 +82,7 @@ class TestBranches:
         coeff = rng.standard_normal(2)
 
         def loss():
-            return tsum(ad.mul(classify(fused, params), ad.constant(coeff)))
+            return tdot(classify(fused, params), coeff)
 
         assert gradient_check(loss, param_tensors(params), probe_count=60, seed=5) < 1e-4
 
@@ -109,7 +109,7 @@ class TestAgeLoss:
     PRIOR = AgingPriorParams(zeta=9.5, tau=4.5, alpha=1.0)
 
     def hinge(self, delta, label):
-        return age_loss(ad.constant(delta), label, self.PRIOR).item()
+        return age_loss(delta, label, self.PRIOR)
 
     def test_pd_hinge_boundary_zero(self):
         assert self.hinge(9.5, Label.PD) == 0.0
@@ -146,7 +146,7 @@ class TestPhi:
     """The closed form delta - tau against the paper's softplus pair."""
 
     def closed_form(self, delta, tau):
-        return phi(ad.constant(delta), tau).item()
+        return phi(delta, tau)
 
     def test_zero_at_tau(self):
         assert self.closed_form(4.5, 4.5) == 0.0
@@ -171,16 +171,16 @@ class TestCorrectLogits:
 
     def test_alpha_zero_identity(self, fused):
         out = head_on(fused, [1.5, -2.0], 99.0, AgingPriorParams(alpha=0.0))
-        assert tuple(out.corrected.data) == (1.5, -2.0)
+        assert tuple(out.corrected) == (1.5, -2.0)
 
     def test_delta_at_tau_identity(self, fused):
         out = head_on(fused, [0.0, 0.0], 4.5, AgingPriorParams())
-        assert tuple(out.corrected.data) == (0.0, 0.0)
+        assert tuple(out.corrected) == (0.0, 0.0)
 
     def test_symmetric_shift(self, fused):
         out = head_on(fused, [1.0, 2.0], 6.5, AgingPriorParams(alpha=1.0))
-        assert out.corrected.data[0] == pytest.approx(3.0, abs=1e-12)
-        assert out.corrected.data[1] == pytest.approx(0.0, abs=1e-12)
+        assert out.corrected[0] == pytest.approx(3.0, abs=1e-12)
+        assert out.corrected[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_shift_is_alpha_times_gap(self, fused):
         rng = np.random.default_rng(15)
@@ -188,9 +188,9 @@ class TestCorrectLogits:
             z = rng.normal(0, 3, size=2)
             prior = AgingPriorParams(zeta=20.0, tau=float(rng.uniform(0, 10)), alpha=float(rng.uniform(0, 2)))
             out = head_on(fused, z, float(rng.uniform(-20, 20)), prior)
-            shift = prior.alpha * (out.delta.item() - prior.tau)
-            assert out.corrected.data[0] == pytest.approx(z[0] + shift, abs=1e-12)
-            assert out.corrected.data[1] == pytest.approx(z[1] - shift, abs=1e-12)
+            shift = prior.alpha * (out.delta - prior.tau)
+            assert out.corrected[0] == pytest.approx(z[0] + shift, abs=1e-12)
+            assert out.corrected[1] == pytest.approx(z[1] - shift, abs=1e-12)
 
     def test_monotone_calibration(self, fused):
         prior = AgingPriorParams(alpha=1.0)
@@ -204,25 +204,29 @@ class TestCorrectLogits:
 class TestClsLoss:
     """ce_loss_node on constant logits."""
 
+    @staticmethod
+    def ce(z_pd, z_ot, label):
+        return ce_loss_node(ad.constant(logits(z_pd, z_ot)), label).item()
+
     def test_uniform_logits(self):
-        assert ce_loss_node(logits(0.0, 0.0), Label.PD).item() == pytest.approx(math.log(2.0), abs=1e-15)
-        assert ce_loss_node(logits(0.0, 0.0), Label.OTHER).item() == pytest.approx(math.log(2.0), abs=1e-15)
+        assert self.ce(0.0, 0.0, Label.PD) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert self.ce(0.0, 0.0, Label.OTHER) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_saturated_correct_no_overflow(self):
-        loss = ce_loss_node(logits(30.0, -30.0), Label.PD).item()
+        loss = self.ce(30.0, -30.0, Label.PD)
         assert 0.0 <= loss < 1e-20
 
     def test_closed_form_value(self):
-        loss = ce_loss_node(logits(math.log(3.0), 0.0), Label.PD).item()
+        loss = self.ce(math.log(3.0), 0.0, Label.PD)
         assert loss == pytest.approx(math.log(4.0 / 3.0), abs=1e-12)
 
     def test_nonnegative_and_shift_invariant(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
             a, b, c = rng.normal(0, 5, size=3)
-            base = ce_loss_node(logits(a, b), Label.PD).item()
+            base = self.ce(a, b, Label.PD)
             assert base >= 0.0
-            assert ce_loss_node(logits(a + c, b + c), Label.PD).item() == pytest.approx(base, abs=1e-9)
+            assert self.ce(a + c, b + c, Label.PD) == pytest.approx(base, abs=1e-9)
 
 
 class TestDecide:
@@ -288,3 +292,70 @@ class TestTotalLoss:
         low = total_loss(fused, 63.0, Label.PD, b1, zeroed_branch(4, 1, [63.0]), self.PRIOR)
         high = total_loss(fused, 63.0, Label.PD, b1, zeroed_branch(4, 1, [80.0]), self.PRIOR)
         assert high.cls < low.cls
+
+
+def composed_total_loss(z, pred, age, label, prior, g):
+    """Value and (z, predicted-age) gradients of the node-by-node stage-3 graph at upstream gradient g.
+
+    The graph was add(relu(hinge), cross_entropy(add(z, mul([alpha, -alpha], sub(delta, tau))))) over
+    delta = sub(pred, age), with hinge sub(zeta, delta) for PD and sub(delta, tau) otherwise.
+    """
+    g = np.asarray(g)
+    delta = np.asarray(pred) - np.asarray(age)
+    alphas = np.array([prior.alpha, -prior.alpha])
+    c = z + alphas * (delta - np.asarray(prior.tau))
+    hinge = np.asarray(prior.zeta) - delta if label is Label.PD else delta - np.asarray(prior.tau)
+    mask = hinge > 0.0
+    index = 0 if label is Label.PD else 1
+    m = np.max(c)
+    lse = np.log(np.sum(np.exp(c - m))) + m
+    value = np.asarray(np.where(mask, hinge, 0.0)) + (lse - c[index])
+    gc = g * np.exp(c - lse)
+    gc[index] -= g
+    g_phi = np.sum(gc * alphas, axis=(0,)).reshape(())  # mul's gradient summed onto the scalar phi
+    g_hinge = -(g * mask) if label is Label.PD else g * mask
+    # delta's two gradients, in whichever order the engine met them: IEEE addition commutes
+    return value, gc, g_phi + g_hinge
+
+
+class TestTotalLossNode:
+    """total_loss's one node against the graph it replaced, bit for bit."""
+
+    PRIORS = [AgingPriorParams(zeta=9.5, tau=4.5, alpha=a) for a in (0.0, 1.0, 2.5)]
+    # hinges active, inactive, and exactly at delta = zeta and delta = tau, for both labels
+    DELTAS = [-30.0, 0.0, 4.5, 7.25, 9.5, 25.0, *np.random.default_rng(20).uniform(-20.0, 30.0, size=4)]
+    LOGITS = [*np.random.default_rng(21).normal(0.0, 3.0, size=(4, 2)), [1000.0, -1000.0], [-1000.0, 1000.0]]
+
+    @pytest.mark.parametrize("label", [Label.PD, Label.OTHER], ids=lambda l: l.value)
+    @pytest.mark.parametrize("g", [1.0, 0.25, -0.5])
+    def test_bitwise_equals_composition(self, fused, label, g):
+        for prior in self.PRIORS:
+            for z in self.LOGITS:
+                for delta in self.DELTAS:
+                    b1, b2 = zeroed_branch(4, 2, z), zeroed_branch(4, 1, [60.0 + delta])
+                    loss = total_loss(fused, 60.0, label, b1, b2, prior)
+                    z_t, pred_t = loss.node._parents
+                    value, gz, gpred = composed_total_loss(z_t.data, pred_t.data, 60.0, label, prior, g)
+                    assert loss.node.data.tobytes() == value.tobytes()
+                    got_z, got_pred = loss.node._backward(np.asarray(g))
+                    assert got_z.tobytes() == gz.tobytes()
+                    assert np.asarray(got_pred).tobytes() == np.asarray(gpred).tobytes()
+
+    def test_hinge_slopes(self, fused):
+        # with alpha = 0 the predicted age's gradient is the hinge's slope alone
+        prior = AgingPriorParams(zeta=9.5, tau=4.5, alpha=0.0)
+        b1 = zeroed_branch(4, 2, [0.0, 0.0])
+        cases = [(Label.PD, 9.5, 0.0), (Label.PD, 5.0, -1.0), (Label.OTHER, 4.5, 0.0), (Label.OTHER, 5.0, 1.0)]
+        for label, delta, slope in cases:
+            loss = total_loss(fused, 60.0, label, b1, zeroed_branch(4, 1, [60.0 + delta]), prior)
+            assert loss.node._backward(np.asarray(0.5))[1] == 0.5 * slope
+
+    def test_is_one_node_over_z_and_predicted_age(self, fused):
+        rng = np.random.default_rng(22)
+        b1, b2 = BranchParams.init(4, 2, rng), BranchParams.init(4, 1, rng, head_bias=65.0)
+        loss = total_loss(fused, 63.0, Label.OTHER, b1, b2, AgingPriorParams())
+        out = head(fused, 63.0, b1, b2, AgingPriorParams())
+        z, pred = loss.node._parents
+        assert z.data.tobytes() == out.z.data.tobytes() and pred.data.tobytes() == out.predicted_age.data.tobytes()
+        assert loss.corrected.tobytes() == out.corrected.tobytes() and loss.delta == out.delta
+        assert isinstance(loss.delta, float)

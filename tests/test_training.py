@@ -16,7 +16,7 @@ from pddiag import training as tr
 from pddiag.aggregator import encode_dense, region_average_pool, upsample_fuse, weighted_aggregate
 from pddiag.cli import main as cli_main
 from pddiag.cohort import Cohort, SubjectRecord, read_manifest
-from pddiag.diagnoser import Label, ce_loss_node, classify, decide, total_loss
+from pddiag.diagnoser import Label, ce_loss_node, classify, decide, predict_brain_age, total_loss
 from pddiag.priors import AgingPriorParams, load_relevance_table
 from pddiag.synth import SynthConfig, generate_cohort
 from pddiag.volume_io import Volume3D, read_atlas
@@ -117,7 +117,7 @@ class TestGradientCheck:
         w = ad.parameter(np.array(3.0))
 
         def loss():
-            return ad.mul(w, w)
+            return ad.squared_error(w, 0.0)
 
         assert gradient_check(loss, [w], probe_count=5, seed=0) < 1e-10
 
@@ -190,6 +190,22 @@ class TestRocAuc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             tr.roc_auc([0.5, 0.6], [1, 1])
+
+    @pytest.mark.parametrize("where", [0, 1, 3])
+    def test_nan_score_is_named(self, where):
+        scores = [0.9, 0.4, 0.6, 0.1]
+        scores[where] = math.nan
+        records = [
+            tr.PredictionRecord(f"s{i}", label, p, 0.0, 60.0, Label.OTHER)
+            for i, (p, label) in enumerate(zip(scores, [Label.PD, Label.PD, Label.OTHER, Label.OTHER]))
+        ]
+        for compute in (
+            lambda: tr.roc_points(scores, [1, 1, 0, 0]),
+            lambda: tr.roc_auc(scores, [1, 1, 0, 0]),
+            lambda: tr.metrics_from_records(records),
+        ):
+            with pytest.raises(ValueError, match=rf"scores\[{where}\] is NaN"):
+                compute()
 
     def test_roc_points_monotone(self):
         rng = np.random.default_rng(2)
@@ -398,18 +414,20 @@ class TestTrainConfig:
 
 class TestTrainStage:
     def test_graph_nodes_per_sample(self, tiny_setup):
-        """The per-sample loss graphs of stages 1 and 3, counted as the backward engine walks them."""
+        """The per-sample loss graphs of stages 1-3, counted as the backward engine walks them."""
         cohort, sa = tiny_setup
         rec = cohort[0]
         params = tr.ModelParams.init(4, seed=0)
         agg = weighted_aggregate(region_average_pool(rec.volume, sa.atlas), sa.table)
 
-        def fused():
-            return upsample_fuse(agg, encode_dense(rec.volume, params.encoder), params.fusion)
+        def fused(model):
+            return upsample_fuse(agg, encode_dense(rec.volume, model.encoder), model.fusion)
 
-        stage1 = ce_loss_node(classify(fused(), params.branch1), rec.label)
-        stage3 = total_loss(fused(), rec.age, rec.label, params.branch1, params.branch2, PRIOR).node
-        assert (graph_nodes(stage1), graph_nodes(stage3)) == (20, 39)
+        stage1 = ce_loss_node(classify(fused(params), params.branch1), rec.label)
+        # stage 2 fits the age branch on fixed features, as train_stage does
+        stage2 = ad.squared_error(predict_brain_age(fused(params.frozen()), params.branch2), rec.age)
+        stage3 = total_loss(fused(params), rec.age, rec.label, params.branch1, params.branch2, PRIOR).node
+        assert (graph_nodes(stage1), graph_nodes(stage2), graph_nodes(stage3)) == (20, 10, 28)
 
     def test_invalid_stage(self, tiny_setup):
         cohort, sa = tiny_setup
