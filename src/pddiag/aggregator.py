@@ -4,7 +4,9 @@ Pipeline: a small two-block 3-D encoder downsamples the volume by 4x,
 per-region average pooling reduces the same volume to one value per atlas
 region, the relevance weights collapse those into a weighted (mean, std)
 pair, and a learned 2->C projection broadcasts that pair back over the
-encoder grid and adds it in.
+encoder grid and adds it in. The encoder is two ``conv_relu`` graph nodes and
+the fusion is one node over (dense, projection weight, projection bias) with
+its backward written out in ``upsample_fuse``.
 """
 
 from __future__ import annotations
@@ -135,9 +137,18 @@ def weighted_aggregate(pooled: np.ndarray, table) -> AggregatedFeature:
 
 
 def upsample_fuse(agg: AggregatedFeature, dense: Tensor, proj: FusionProjection) -> Tensor:
-    """Broadcast proj @ (mean, std) + bias over the grid and add it to the (C, ...) dense tensor."""
+    """Broadcast proj @ (mean, std) + bias over the grid and add it to the (C, ...) dense tensor, as one node.
+
+    The aggregate is data, so the node's parents are the dense tensor and the projection.
+    """
     channels = dense.data.shape[0]
     if proj.channels != channels:
         raise ChannelMismatch(f"projection emits {proj.channels} channels, dense has {channels}")
-    vec = ad.linear(proj.weight, ad.constant(agg.as_vector()), proj.bias)
-    return ad.add_channel_bias(dense, vec)
+    a = agg.as_vector()
+    out = dense.data + (proj.weight.data @ a + proj.bias.data)[:, None, None, None]
+
+    def back(g):
+        gv = g.sum(axis=(1, 2, 3))
+        return g, np.outer(gv, a), gv
+
+    return Tensor(out, parents=(dense, proj.weight, proj.bias), backward=back)

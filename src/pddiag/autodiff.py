@@ -159,38 +159,6 @@ def squared_error(a: Tensor, target: float) -> Tensor:
     return Tensor(err * err, parents=(a,), backward=lambda g: (g * err + g * err,))
 
 
-def linear(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
-    """w @ x + b for w (m, n), x (n,), b (m,)."""
-    out = w.data @ x.data + b.data
-
-    def back(g):
-        return np.outer(g, x.data), w.data.T @ g, g.copy()
-
-    return Tensor(out, parents=(w, x, b), backward=back)
-
-
-def global_avg_pool(a: Tensor) -> Tensor:
-    """(C, D, H, W) -> (C,) spatial mean."""
-    c = a.data.shape[0]
-    n = a.data.size // c
-    out = a.data.reshape(c, n).mean(axis=1)
-
-    def back(g):
-        return (np.broadcast_to(g[:, None, None, None] / n, a.data.shape).copy(),)
-
-    return Tensor(out, parents=(a,), backward=back)
-
-
-def add_channel_bias(a: Tensor, v: Tensor) -> Tensor:
-    """(C, D, H, W) + (C,) broadcast over space."""
-    out = a.data + v.data[:, None, None, None]
-
-    def back(g):
-        return g, g.sum(axis=(1, 2, 3))
-
-    return Tensor(out, parents=(a, v), backward=back)
-
-
 _K = 3  # conv kernel edge
 _S = 2  # conv stride
 _P = 1  # conv zero padding

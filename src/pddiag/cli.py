@@ -142,6 +142,9 @@ def cmd_split(args) -> int:
 def cmd_preprocess(args) -> int:
     cfg = _config(args)
     cohort = _read_cohort(cfg, args)
+    pathless = [s.subject_id for s in cohort if s.path is None]
+    if pathless:
+        raise ValueError(f"manifest rows without a path cannot be preprocessed: {', '.join(pathless)}")
     records = run_pipeline([s.path for s in cohort], cfg.tool_config())
     for rec in records:
         status = "ok" if rec.ok else f"FAILED ({rec.error})"

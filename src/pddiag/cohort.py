@@ -61,6 +61,8 @@ class Cohort:
 
 
 MANIFEST_FIELDS = ["subject_id", "path", "age", "label", "is_healthy"]
+# the is_healthy tokens a manifest may hold; any other token is an error
+HEALTHY_TOKENS = {"1": True, "true": True, "True": True, "0": False, "false": False, "False": False, "": False}
 
 
 def write_manifest(cohort: Cohort, path) -> None:
@@ -78,6 +80,9 @@ def read_manifest(path) -> Cohort:
     base = Path(path).parent
 
     def parse(row) -> SubjectRecord:
+        healthy = row["is_healthy"].strip()
+        if healthy not in HEALTHY_TOKENS:
+            raise ValueError(f"is_healthy must be 1/true/True or 0/false/False/empty, got {healthy!r}")
         vol_path = row["path"] or None
         if vol_path and not Path(vol_path).is_absolute():
             vol_path = str(base / vol_path)
@@ -85,7 +90,7 @@ def read_manifest(path) -> Cohort:
             subject_id=row["subject_id"],
             age=float(row["age"]),
             label=Label(row["label"]) if row["label"] else None,
-            is_healthy=row["is_healthy"].strip() in ("1", "true", "True"),
+            is_healthy=HEALTHY_TOKENS[healthy],
             path=vol_path,
         )
 

@@ -8,6 +8,10 @@ the correction as alpha * (softplus(delta - tau) - softplus(tau - delta));
 that difference is exactly delta - tau, so ``phi`` computes it in that
 closed form. ``head`` is the one forward through both branches and the
 correction, shared by ``total_loss`` and ``training.predict``.
+
+Each branch is two graph nodes: a ``conv_relu`` and one node for the global
+average pooling and the affine head, with its backward written out in
+``_branch``.
 """
 
 from __future__ import annotations
@@ -59,26 +63,36 @@ class BranchParams:
         return self.head_w.data.shape[0]
 
 
-def _branch_features(fused: Tensor, params: BranchParams) -> Tensor:
+def _branch(fused: Tensor, params: BranchParams) -> Tensor:
+    """head_w @ mean(h) + head_b, h = conv_relu(fused); pooling and head are one node over (h, head_w, head_b)."""
     if params.conv_w.data.shape[1] != fused.data.shape[0]:
         raise ShapeMismatch(f"branch expects {params.conv_w.data.shape[1]} channels, fused has {fused.data.shape[0]}")
     h = ad.conv_relu(fused, params.conv_w, params.conv_b)
-    return ad.global_avg_pool(h)
+    c = h.data.shape[0]
+    n = h.data.size // c
+    pooled = h.data.reshape(c, n).mean(axis=1)
+    w = params.head_w.data
+
+    def back(g):
+        gp = w.T @ g
+        return np.broadcast_to(gp[:, None, None, None] / n, h.data.shape).copy(), np.outer(g, pooled), g.copy()
+
+    return Tensor(w @ pooled + params.head_b.data, parents=(h, params.head_w, params.head_b), backward=back)
 
 
 def classify(fused: Tensor, params: BranchParams) -> Tensor:
     """The (2,) logits (z_pd, z_ot) from the fused feature."""
     if params.outputs != 2:
         raise ShapeMismatch(f"classifier head must emit 2 logits, emits {params.outputs}")
-    return ad.linear(params.head_w, _branch_features(fused, params), params.head_b)
+    return _branch(fused, params)
 
 
 def predict_brain_age(fused: Tensor, params: BranchParams) -> Tensor:
     """Scalar brain-age estimate in years (differentiable; .item() for the float)."""
     if params.outputs != 1:
         raise ShapeMismatch(f"age head must emit 1 output, emits {params.outputs}")
-    out = ad.linear(params.head_w, _branch_features(fused, params), params.head_b)
-    return ad.pick(out, 0)
+    # the head is (1, C), as checkpoints store it; pick takes its one output
+    return ad.pick(_branch(fused, params), 0)
 
 
 def phi(delta: float, tau: float) -> float:
@@ -136,12 +150,10 @@ def head(
 
 
 @dataclass
-class LossBreakdown:
+class LossBreakdown(HeadOutput):
     node: Tensor  # scalar total-loss graph root
     age: float
     cls: float
-    delta: float
-    corrected: np.ndarray  # (2,) age-corrected logits
 
 
 def total_loss(
@@ -169,9 +181,8 @@ def total_loss(
         return gz, np.sum(gz * shift) + slope * g
 
     return LossBreakdown(
+        **vars(out),
         node=Tensor(l_age + l_cls, parents=(out.z, out.predicted_age), backward=back),
         age=l_age,
         cls=float(l_cls),
-        delta=out.delta,
-        corrected=out.corrected,
     )

@@ -134,9 +134,6 @@ class ModelParams:
 
         return ModelParams(**{name: rebuild(name, part) for name, part in self._parts()})
 
-    def copy(self) -> "ModelParams":
-        return self.rebuilt(lambda _, t: ad.parameter(t.data))
-
     def frozen(self) -> "ModelParams":
         """A constant view sharing these arrays: forward passes through it build no graph."""
         return self.rebuilt(lambda _, t: ad.constant(t.data))

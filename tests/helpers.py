@@ -21,6 +21,41 @@ def tdot(a: Tensor, coeff) -> Tensor:
     return Tensor(np.sum(a.data * coeff), parents=(a,), backward=lambda g: (g * coeff,))
 
 
+def linear(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
+    """w @ x + b for w (m, n), x (n,), b (m,), as one node with a gradient for each of w, x and b."""
+    out = w.data @ x.data + b.data
+
+    def back(g):
+        return np.outer(g, x.data), w.data.T @ g, g.copy()
+
+    return Tensor(out, parents=(w, x, b), backward=back)
+
+
+def composed_upsample_fuse(agg, dense: Tensor, proj: FusionProjection) -> Tensor:
+    """upsample_fuse node by node: a constant aggregate, a linear node, then a channel-broadcast add node."""
+    vec = linear(proj.weight, ad.constant(agg.as_vector()), proj.bias)
+    out = dense.data + vec.data[:, None, None, None]
+    return Tensor(out, parents=(dense, vec), backward=lambda g: (g, g.sum(axis=(1, 2, 3))))
+
+
+def composed_branch(fused: Tensor, params) -> Tensor:
+    """A branch's output node by node: conv_relu, a global-average-pool node, then a linear node."""
+    h = ad.conv_relu(fused, params.conv_w, params.conv_b)
+    c = h.data.shape[0]
+    n = h.data.size // c
+    pooled = Tensor(
+        h.data.reshape(c, n).mean(axis=1),
+        parents=(h,),
+        backward=lambda g: (np.broadcast_to(g[:, None, None, None] / n, h.data.shape).copy(),),
+    )
+    return linear(params.head_w, pooled, params.head_b)
+
+
+def copy_params(params):
+    """An independent, trainable copy of a ModelParams: fresh parameter arrays with equal values."""
+    return params.rebuilt(lambda _, t: ad.parameter(t.data))
+
+
 def graph_nodes(root: Tensor) -> int:
     """Number of distinct tensors reachable from ``root`` through ``_parents``, root included."""
     seen = {id(root)}

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import gradient_check, param_tensors, softplus_pair, tdot
+from helpers import copy_params, gradient_check, param_tensors, softplus_pair, tdot
 from pddiag import autodiff as ad
 from pddiag import training as tr
 from pddiag import volume_io as vio
@@ -253,7 +253,7 @@ def test_criterion_08_ablation_directions(e2e):
     lines = []
     for seed, params in e2e["models"].items():
         full, _ = evaluate(params, e2e["test"], e2e["atlas"], e2e["table"], PRIOR)
-        no_fusion = params.copy()
+        no_fusion = copy_params(params)
         no_fusion.fusion.weight.data[:] = 0.0
         no_fusion.fusion.bias.data[:] = 0.0
         agg_off, _ = evaluate(no_fusion, e2e["test"], e2e["atlas"], e2e["table"], PRIOR)

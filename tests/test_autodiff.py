@@ -4,8 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import gradient_check, graph_nodes, tdot, tsum
+from helpers import (
+    composed_branch,
+    composed_upsample_fuse,
+    gradient_check,
+    graph_nodes,
+    linear,
+    param_tensors,
+    tdot,
+    tsum,
+)
 from pddiag import autodiff as ad
+from pddiag.aggregator import AggregatedFeature, FusionProjection, upsample_fuse
+from pddiag.diagnoser import BranchParams, classify, predict_brain_age
 
 
 def conv3d_bruteforce(x, w, b):
@@ -217,21 +228,9 @@ class TestPrimitives:
         w = ad.constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
         x = ad.constant(np.array([5.0, 6.0]))
         b = ad.constant(np.array([0.5, -0.5]))
-        out = ad.linear(w, x, b)
+        out = linear(w, x, b)
         assert (out.data == [17.5, 38.5]).all()
         assert ad.pick(out, 1).item() == 38.5
-
-    def test_global_avg_pool(self):
-        x = np.arange(16.0).reshape(2, 2, 2, 2)
-        out = ad.global_avg_pool(ad.constant(x))
-        np.testing.assert_allclose(out.data, [x[0].mean(), x[1].mean()])
-
-    def test_add_channel_bias(self):
-        x = np.zeros((2, 2, 2, 2))
-        v = np.array([1.0, -2.0])
-        out = ad.add_channel_bias(ad.constant(x), ad.constant(v))
-        assert (out.data[0] == 1.0).all()
-        assert (out.data[1] == -2.0).all()
 
     def test_composite_gradients(self):
         rng = np.random.default_rng(3)
@@ -242,10 +241,100 @@ class TestPrimitives:
         mix = ad.constant(rng.standard_normal((3, 3)))
 
         def loss():
-            h = ad.linear(w, x, b)
-            return ad.cross_entropy(ad.linear(mix, h, h), 1)  # h reaches the loss by two paths
+            h = linear(w, x, b)
+            return ad.cross_entropy(linear(mix, h, h), 1)  # h reaches the loss by two paths
 
         assert gradient_check(loss, [w, b], probe_count=30, seed=4) < 1e-7
+
+
+# the two model layers that build their own node: the fusion in
+# aggregator.upsample_fuse and each branch's pooling and head in diagnoser
+LAYER_CHANNELS = [2, 4]
+LAYER_GRID = (5, 6, 7)
+
+
+def layer_inputs(channels, outputs=2, seed=0):
+    """A trainable (C, 5, 6, 7) input, an aggregate, a fusion projection and a branch with a unit-scale head."""
+    rng = np.random.default_rng(seed)
+    x = ad.parameter(rng.standard_normal((channels, *LAYER_GRID)))
+    agg = AggregatedFeature(mean=float(rng.standard_normal()), std=float(rng.uniform(0.5, 2.0)))
+    fusion = FusionProjection(
+        weight=ad.parameter(rng.standard_normal((channels, 2))), bias=ad.parameter(rng.standard_normal(channels))
+    )
+    branch = BranchParams.init(channels, outputs, rng)
+    branch.head_w.data[:] = rng.standard_normal((outputs, channels))
+    branch.head_b.data[:] = rng.standard_normal(outputs)
+    return x, agg, fusion, branch
+
+
+class TestLayerNodes:
+    def test_upsample_fuse_value(self):
+        for channels in LAYER_CHANNELS:
+            x, agg, fusion, _ = layer_inputs(channels)
+            out = upsample_fuse(agg, x, fusion)
+            w, b = fusion.weight.data, fusion.bias.data
+            lift = w[:, 0] * agg.mean + w[:, 1] * agg.std + b
+            np.testing.assert_allclose(out.data, x.data + lift[:, None, None, None], rtol=1e-12)
+            # on a zero dense tensor each channel holds its one lifted value at every voxel
+            lifted = upsample_fuse(agg, ad.constant(np.zeros(x.shape)), fusion).data
+            assert (lifted == lifted[:, :1, :1, :1]).all()
+            np.testing.assert_allclose(lifted[:, 0, 0, 0], lift, rtol=1e-12)
+
+    def test_branch_head_value(self):
+        for channels in LAYER_CHANNELS:
+            x, _, _, branch = layer_inputs(channels)
+            h = ad.conv_relu(x, branch.conv_w, branch.conv_b).data
+            expected = branch.head_w.data @ h.mean(axis=(1, 2, 3)) + branch.head_b.data
+            np.testing.assert_allclose(classify(x, branch).data, expected, rtol=1e-12)
+            x, _, _, age = layer_inputs(channels, outputs=1)
+            h = ad.conv_relu(x, age.conv_w, age.conv_b).data
+            expected = age.head_w.data[0] @ h.mean(axis=(1, 2, 3)) + age.head_b.data[0]
+            assert predict_brain_age(x, age).item() == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("channels", LAYER_CHANNELS)
+    def test_upsample_fuse_gradients(self, channels):
+        x, agg, fusion, _ = layer_inputs(channels, seed=1)
+        coeff = np.random.default_rng(2).standard_normal(x.shape)
+
+        def loss():
+            return tdot(upsample_fuse(agg, x, fusion), coeff)
+
+        # the input and the projection apart, so the few projection entries get probes of their own
+        for params in ([x], [fusion.weight, fusion.bias]):
+            assert gradient_check(loss, params, probe_count=30, seed=3) < 1e-7
+
+    @pytest.mark.parametrize("channels", LAYER_CHANNELS)
+    def test_branch_head_gradients(self, channels):
+        x, _, _, branch = layer_inputs(channels, seed=4)
+        coeff = np.random.default_rng(5).standard_normal(2)
+
+        def loss():
+            return tdot(classify(x, branch), coeff)
+
+        for params in ([x, branch.conv_w, branch.conv_b], [branch.head_w, branch.head_b]):
+            assert gradient_check(loss, params, probe_count=30, seed=6) < 1e-6
+
+    @pytest.mark.parametrize("channels", LAYER_CHANNELS)
+    def test_gradients_bitwise_equal_composition(self, channels):
+        """Each layer node's value and gradients are bit for bit those of the node-by-node composition."""
+        x, agg, fusion, branch = layer_inputs(channels, seed=7)
+        _, _, _, age = layer_inputs(channels, outputs=1, seed=8)
+        cases = [
+            (lambda: upsample_fuse(agg, x, fusion), lambda: composed_upsample_fuse(agg, x, fusion), [fusion]),
+            (lambda: classify(x, branch), lambda: composed_branch(x, branch), [branch]),
+            (lambda: predict_brain_age(x, age), lambda: ad.pick(composed_branch(x, age), 0), [age]),
+        ]
+        coeff_rng = np.random.default_rng(9)
+        for node, composed, parts in cases:
+            params = [x] + param_tensors(*parts)
+            coeff = coeff_rng.standard_normal(node().shape)
+            runs = []
+            for build in (node, composed):
+                ad.zero_grads(params)
+                out = build()
+                ad.backward(tdot(out, coeff))
+                runs.append([out.data.tobytes()] + [p.grad.tobytes() for p in params])
+            assert runs[0] == runs[1]
 
 
 def composed_cross_entropy(z, index, g):
@@ -409,10 +498,11 @@ class TestEngine:
     def test_no_grad_results_keep_no_graph(self):
         x = ad.constant(np.ones((1, 4, 4, 4)))
         w, b = ad.constant(np.ones((2, 1, 3, 3, 3))), ad.constant(np.zeros(2))
+        fusion = FusionProjection(weight=ad.constant(np.ones((1, 2))), bias=ad.constant(np.ones(1)))
         for out in (
             ad.conv3d_down(x, w, b),
             ad.conv_relu(x, w, b),
-            ad.add_channel_bias(x, ad.constant(np.ones(1))),
+            upsample_fuse(AggregatedFeature(0.5, 0.25), x, fusion),
             ad.squared_error(tsum(x), 1.0),
             tsum(x),
         ):
@@ -424,13 +514,13 @@ class TestEngine:
     def test_constants_get_no_grad(self):
         c = ad.constant(np.array([[1.0, 2.0]]))
         p = ad.parameter(np.array([3.0, 4.0]))
-        ad.backward(tsum(ad.linear(c, p, ad.constant(np.zeros(1)))))
+        ad.backward(tsum(linear(c, p, ad.constant(np.zeros(1)))))
         assert c.grad is None
         assert p.grad is not None
 
     def test_shared_node_grad_sums(self):
         p = ad.parameter(np.array([1.0, 2.0]))
-        out = ad.linear(ad.constant(np.eye(2)), p, p)  # p appears twice as parent
+        out = linear(ad.constant(np.eye(2)), p, p)  # p appears twice as parent
         ad.backward(tsum(out))
         assert (p.grad == [2.0, 2.0]).all()
 
@@ -442,8 +532,8 @@ class TestEngine:
     def test_diamond_graph(self):
         p = ad.parameter(np.array([2.0]))
         zero = ad.constant(np.zeros(1))
-        a = ad.linear(ad.constant([[3.0]]), p, zero)
-        b = ad.linear(ad.constant([[2.0]]), p, zero)
-        out = tsum(ad.linear(ad.constant([[1.0]]), a, b))
+        a = linear(ad.constant([[3.0]]), p, zero)
+        b = linear(ad.constant([[2.0]]), p, zero)
+        out = tsum(linear(ad.constant([[1.0]]), a, b))
         ad.backward(out)
         assert p.grad == pytest.approx(3.0 + 2.0)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pddiag.cli import PREDICTION_FIELDS, _config, build_parser, main, read_predictions, write_predictions
+from pddiag.cohort import Cohort, SubjectRecord, write_manifest
 from pddiag.config import SCHEMA, ConfigError, RunConfig, load_config
 from pddiag.diagnoser import Label
 from pddiag.preprocess import ToolConfig
@@ -293,6 +294,18 @@ class TestMalformedConfig:
             assert isinstance(load_config(path), RunConfig)
         except ConfigError:
             pass
+
+
+class TestPreprocessCommand:
+    def test_rows_without_a_path_fail_before_anything_runs(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        with_path = SubjectRecord("s1", 60.0, path=str(tmp_path / "s1.nii"))
+        write_manifest(Cohort([with_path, SubjectRecord("s2", 61.0), SubjectRecord("s3", 62.0)]), manifest)
+        cache = tmp_path / "cache"
+        assert run_cli("preprocess", "--manifest", manifest, "--cache-dir", cache) == 1
+        err = capsys.readouterr().err
+        assert "without a path" in err and "s2, s3" in err and "s1" not in err
+        assert not cache.exists()
 
 
 class TestSplitCommand:

@@ -57,6 +57,11 @@ class TestReadManifest:
         cohort = read_manifest(manifest(tmp_path, "s1,,60.0,other,1", header=HEADER.replace(",", ", ")))
         assert (cohort[0].subject_id, cohort[0].is_healthy) == ("s1", True)
 
+    def test_is_healthy_tokens(self, tmp_path):
+        tokens = ["1", "true", "True", " 1 ", "0", "false", "False", ""]
+        cohort = read_manifest(manifest(tmp_path, *(f"s{i},,60.0,other,{t}" for i, t in enumerate(tokens))))
+        assert [s.is_healthy for s in cohort] == [True] * 4 + [False] * 4
+
     @pytest.mark.parametrize(
         "row, message",
         [
@@ -68,6 +73,10 @@ class TestReadManifest:
             ("s2,,sixty,pd,0", "sixty"),
             ("s2,,61.0,maybe,0", "maybe"),
             ("s2,,61.0,pd,1", "is_healthy"),
+            ("s2,,61.0,other,yes", "is_healthy must be .*'yes'"),
+            ("s2,,61.0,other,2", "is_healthy must be .*'2'"),
+            ("s2,,61.0,other,TRUE", "is_healthy must be .*'TRUE'"),
+            ("s2,,61.0,other,no", "is_healthy must be .*'no'"),
         ],
     )
     def test_bad_row_names_file_and_line(self, tmp_path, row, message):
