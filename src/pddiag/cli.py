@@ -18,7 +18,7 @@ from .csvtable import read_rows, write_rows
 from .diagnoser import Label
 from .preprocess import run_pipeline
 from .priors import RelevanceTable, default_relevance_table, load_relevance_table, save_relevance_table
-from .synth import generate_cohort, split_cohort
+from .synth import iter_subjects, make_synth_atlas, split_cohort
 from .training import (
     Metrics,
     ModelParams,
@@ -106,17 +106,26 @@ def read_predictions(path) -> list[PredictionRecord]:
 
 
 def cmd_synth(args) -> int:
+    """Write a synth cohort one subject at a time, so memory peaks at about one volume whatever ``--n`` is.
+
+    The atlas, relevance table and manifest are written last, and a manifest
+    left by an earlier run is removed first: a directory without
+    ``manifest.csv`` is an incomplete cohort.
+    """
     scfg = _config(args).synth_config()
-    cohort, satlas = generate_cohort(scfg)
+    satlas = make_synth_atlas(scfg.dims, scfg.region_count)
     out = Path(args.out)
     (out / "volumes").mkdir(parents=True, exist_ok=True)
-    for rec in cohort:
+    (out / "manifest.csv").unlink(missing_ok=True)
+    subjects = []
+    for rec in iter_subjects(scfg, satlas):
         rel = f"volumes/{rec.subject_id}.nii"
         write_volume(rec.volume, out / rel, datatype_code=DTYPE_FLOAT32)
-        rec.path = rel
+        rec.path, rec.volume = rel, None
+        subjects.append(rec)
     write_atlas(satlas.atlas, out / "atlas.nii")
     save_relevance_table(satlas.table, out / "relevance.csv")
-    write_manifest(cohort, out / "manifest.csv")
+    write_manifest(Cohort(subjects), out / "manifest.csv")
     print(f"cohort: {out / 'manifest.csv'}")
     print(f"atlas: {out / 'atlas.nii'}")
     print(f"relevance: {out / 'relevance.csv'}")

@@ -8,8 +8,10 @@ acceleration. Pooling a noise-free subject therefore recovers
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,6 +40,12 @@ class SynthConfig:
     seed: int = 7
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_subjects < 0:
             raise ValueError("n_subjects must be >= 0")
         if any(d % 4 or d < 4 for d in self.dims):
@@ -124,37 +132,37 @@ def synth_volume(
     cfg: SynthConfig,
     rng: np.random.Generator,
 ) -> Volume3D:
+    """Region values painted over the atlas (background label 0 reads 0.0), plus Gaussian noise."""
     eff = effective_region_ages(age, is_pd, synth_atlas.table, cfg.acceleration)
     region_value = cfg.baseline + cfg.signal_gain * eff
-    data = region_value[synth_atlas.atlas.labels - 1]
+    data = np.concatenate(([0.0], region_value))[synth_atlas.atlas.labels]
     if cfg.noise_std > 0:
-        data = data + rng.normal(0.0, cfg.noise_std, size=data.shape)
+        data += rng.normal(0.0, cfg.noise_std, size=data.shape)
     return Volume3D.from_array(data)
 
 
-def generate_cohort(cfg: SynthConfig) -> tuple[Cohort, SynthAtlas]:
-    """Deterministic cohort: per-subject RNG streams derive from (seed, index)."""
-    synth_atlas = make_synth_atlas(cfg.dims, cfg.region_count)
+def iter_subjects(cfg: SynthConfig, synth_atlas: SynthAtlas) -> Iterator[SubjectRecord]:
+    """Yield each subject with its volume; subject i draws from its own stream ``default_rng([seed, i])``.
+
+    The first ``round(n * pd_fraction)`` subjects are PD; of the rest, the first
+    ``round(n_other * healthy_fraction)`` are flagged healthy.
+    """
     n_pd = round(cfg.n_subjects * cfg.pd_fraction)
-    n_other = cfg.n_subjects - n_pd
-    n_healthy = round(n_other * cfg.healthy_fraction)
-    subjects = []
-    other_seen = 0
+    n_healthy = round((cfg.n_subjects - n_pd) * cfg.healthy_fraction)
     for i in range(cfg.n_subjects):
         rng = np.random.default_rng([cfg.seed, i])
         age = float(rng.uniform(cfg.age_min, cfg.age_max))
         is_pd = i < n_pd
-        if is_pd:
-            label, healthy = Label.PD, False
-        else:
-            healthy = other_seen < n_healthy
-            other_seen += 1
-            label = Label.OTHER
+        label = Label.PD if is_pd else Label.OTHER
+        healthy = not is_pd and i - n_pd < n_healthy
         volume = synth_volume(synth_atlas, age, is_pd, cfg, rng)
-        subjects.append(
-            SubjectRecord(subject_id=f"s{i:04d}", age=age, label=label, is_healthy=healthy, volume=volume)
-        )
-    return Cohort(subjects=subjects), synth_atlas
+        yield SubjectRecord(subject_id=f"s{i:04d}", age=age, label=label, is_healthy=healthy, volume=volume)
+
+
+def generate_cohort(cfg: SynthConfig) -> tuple[Cohort, SynthAtlas]:
+    """The whole cohort in memory, as ``iter_subjects`` yields it, and its atlas."""
+    synth_atlas = make_synth_atlas(cfg.dims, cfg.region_count)
+    return Cohort(subjects=list(iter_subjects(cfg, synth_atlas))), synth_atlas
 
 
 def split_cohort(cohort: Cohort, folds: int, seed: int) -> list[tuple[list[int], list[int]]]:

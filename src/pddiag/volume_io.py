@@ -264,7 +264,7 @@ def write_volume(volume: Volume3D, path, datatype_code: int | None = None) -> No
             )
     else:
         fmax = float(np.finfo(np.float32).max)
-        if np.abs(data).max(initial=0.0) > fmax:
+        if max(data.max(), -data.min()) > fmax:
             raise ValueOutOfRange("values exceed float32 range")
     header = VolumeHeader(
         dims=volume.header.dims,
@@ -273,7 +273,7 @@ def write_volume(volume: Volume3D, path, datatype_code: int | None = None) -> No
         endianness="little",
         voxel_size=volume.header.voxel_size,
     )
-    payload = data.astype("<" + dtype_char).tobytes(order="C")
+    payload = data.astype("<" + dtype_char, order="C")
     with replacing(path) as tmp, open(tmp, "wb") as fh:
         fh.write(_build_header_bytes(header))
         fh.write(b"\x00" * (header.vox_offset - HEADER_SIZE))

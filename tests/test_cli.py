@@ -1,20 +1,26 @@
 import contextlib
 import hashlib
+import os
 import shutil
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pddiag import cli
 from pddiag.cli import PREDICTION_FIELDS, _config, build_parser, main, read_predictions, write_predictions
 from pddiag.cohort import Cohort, SubjectRecord, write_manifest
 from pddiag.config import SCHEMA, ConfigError, RunConfig, load_config
 from pddiag.diagnoser import Label
 from pddiag.preprocess import ToolConfig
-from pddiag.priors import AgingPriorParams
-from pddiag.synth import SynthConfig
+from pddiag.priors import AgingPriorParams, save_relevance_table
+from pddiag.synth import SynthConfig, generate_cohort
 from pddiag.training import PredictionRecord, TrainConfig, load_checkpoint, save_checkpoint_atomic
+from pddiag.volume_io import DTYPE_FLOAT32, write_atlas, write_volume
 
 
 def tree_digest(root: Path) -> dict:
@@ -66,11 +72,93 @@ class TestSynthCommand:
         assert run_cli("synth", "--out", tmp_path / "x", "--n", 2, "--dims", 30) == 1
         assert "divisible" in capsys.readouterr().err
 
+    def test_streamed_tree_equals_in_memory_cohort(self, tmp_path):
+        assert run_cli("synth", "--out", tmp_path / "cli", "--n", 6, "--dims", 8, "--seed", 5) == 0
+        ref = tmp_path / "ref"
+        (ref / "volumes").mkdir(parents=True)
+        cohort, satlas = generate_cohort(SynthConfig(n_subjects=6, dims=(8, 8, 8), seed=5))
+        for rec in cohort:
+            rec.path = f"volumes/{rec.subject_id}.nii"
+            write_volume(rec.volume, ref / rec.path, datatype_code=DTYPE_FLOAT32)
+        write_atlas(satlas.atlas, ref / "atlas.nii")
+        save_relevance_table(satlas.table, ref / "relevance.csv")
+        write_manifest(cohort, ref / "manifest.csv")
+        assert len(tree_digest(ref)) == 6 + 3
+        assert tree_digest(tmp_path / "cli") == tree_digest(ref)
+
+    def test_traced_peak_does_not_grow_with_n(self, tmp_path):
+        def peak(n: int) -> int:
+            tracemalloc.start()
+            try:
+                assert run_cli("synth", "--out", tmp_path / str(n), "--n", n, "--dims", 32, "--seed", 1) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the cohort held in memory would add 60 float64 volumes of 256 KiB each
+        assert peak(64) - peak(4) < 1 << 20
+
+    def test_non_finite_setting_fails_before_any_file(self, tmp_path, capsys):
+        assert run_cli("synth", "--out", tmp_path / "o", "--n", 2, "--dims", 8, "--noise-std", "nan") == 1
+        assert "noise_std" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_write_leaves_no_manifest(self, tmp_path, monkeypatch, capsys):
+        # a complete earlier run into the same directory must not leave its manifest
+        # listing a mix of old and new volumes
+        assert run_cli("synth", "--out", tmp_path / "o", "--n", 4, "--dims", 8, "--seed", 1) == 0
+        calls = []
+
+        def failing_second_write(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            write_volume(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "write_volume", failing_second_write)
+        assert run_cli("synth", "--out", tmp_path / "o", "--n", 4, "--dims", 8, "--seed", 2) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert len(calls) == 2
+        assert not (tmp_path / "o" / "manifest.csv").exists()
+
     def test_unknown_subcommand_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("frobnicate")
         assert exc.value.code == 2
         assert "usage" in capsys.readouterr().err
+
+
+# Linux carries a process's resident high-water mark across fork and exec, so
+# a child started straight from the test process would report at least this
+# process's own RSS. A small launcher starts the measured child instead and
+# reads that child's own ru_maxrss from wait4 (RUSAGE_CHILDREN would mix in
+# every earlier child of the launcher).
+_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _synth_max_rss_kb(out: Path, n: int) -> int:
+    """Peak resident set, in KiB, of one ``pddiag synth --dims 32`` child."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    cmd = [sys.executable, "-m", "pddiag.cli", "synth", "--out", str(out), "--n", str(n), "--dims", "32"]
+    launched = subprocess.run(
+        [sys.executable, "-c", _RSS_LAUNCHER, *cmd], env=env, capture_output=True, text=True, timeout=120
+    )
+    code, max_rss = map(int, launched.stdout.split())
+    assert code == 0
+    return max_rss
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_synth_rss_does_not_grow_with_n(tmp_path):
+    # the in-memory cohort made the n=64 child about 15 MB larger than the n=4 child
+    small = _synth_max_rss_kb(tmp_path / "small", 4)
+    large = _synth_max_rss_kb(tmp_path / "large", 64)
+    assert abs(large - small) < 4 * 1024
 
 
 class TestTrainCommand:

@@ -5,13 +5,16 @@ from pddiag.aggregator import region_average_pool
 from pddiag.diagnoser import Label
 from pddiag.priors import RelevanceClass
 from pddiag.synth import (
+    SynthAtlas,
     SynthConfig,
     effective_region_ages,
     generate_cohort,
+    iter_subjects,
     make_synth_atlas,
     split_cohort,
     synth_volume,
 )
+from pddiag.volume_io import AtlasVolume
 
 
 class TestConfig:
@@ -35,6 +38,24 @@ class TestConfig:
     def test_negative_subjects_rejected(self):
         with pytest.raises(ValueError):
             SynthConfig(n_subjects=-1)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("noise_std", float("nan")),
+            ("age_min", float("nan")),
+            ("age_max", float("inf")),
+            ("pd_fraction", float("nan")),
+            ("healthy_fraction", float("nan")),
+            ("acceleration", float("inf")),
+            ("signal_gain", float("-inf")),
+            ("baseline", float("nan")),
+            ("seed", -1),
+        ],
+    )
+    def test_non_finite_or_negative_seed_rejected_by_name(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            SynthConfig(**{key: value})
 
 
 class TestAtlasLayout:
@@ -92,6 +113,25 @@ class TestGeneration:
         cohort, sa = generate_cohort(SynthConfig(n_subjects=0, dims=(8, 8, 8)))
         assert len(cohort) == 0
         assert sa.atlas.region_count == 48
+
+    def test_iter_subjects_matches_generate_cohort(self):
+        cfg = SynthConfig(n_subjects=7, dims=(8, 8, 8), pd_fraction=0.3, healthy_fraction=0.6, seed=2)
+        cohort, sa = generate_cohort(cfg)
+        streamed = list(iter_subjects(cfg, sa))
+        assert [(s.subject_id, s.age, s.label, s.is_healthy) for s in streamed] == [
+            (s.subject_id, s.age, s.label, s.is_healthy) for s in cohort
+        ]
+        assert all(a.volume.data.tobytes() == b.volume.data.tobytes() for a, b in zip(streamed, cohort))
+
+    def test_background_label_reads_zero(self):
+        cfg = SynthConfig(n_subjects=1, dims=(8, 8, 8), noise_std=0.0)
+        sa = make_synth_atlas(cfg.dims, cfg.region_count)
+        labels = sa.atlas.labels.copy()
+        labels[0, 0, 0] = 0
+        sa = SynthAtlas(AtlasVolume(labels, cfg.region_count), sa.table)
+        vol = synth_volume(sa, age=60.0, is_pd=False, cfg=cfg, rng=np.random.default_rng(0))
+        assert vol.data[0, 0, 0] == 0.0
+        assert vol.data[0, 0, 1] == cfg.baseline + cfg.signal_gain * 60.0
 
     def test_label_and_healthy_bookkeeping(self):
         cohort, _ = generate_cohort(SynthConfig(n_subjects=10, dims=(8, 8, 8), pd_fraction=0.4, healthy_fraction=0.5))

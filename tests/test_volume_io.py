@@ -156,6 +156,14 @@ class TestReadWrite:
         with pytest.raises(vio.ValueOutOfRange):
             vio.write_volume(vol, tmp_path / "x.nii", datatype_code=vio.DTYPE_UINT8)
 
+    @pytest.mark.parametrize("value", [4e38, -4e38])
+    def test_float32_overflow_rejected_either_sign(self, tmp_path, value):
+        data = np.zeros((2, 2, 4))
+        data[1, 1, 3] = value
+        with pytest.raises(vio.ValueOutOfRange, match="float32"):
+            vio.write_volume(vio.Volume3D.from_array(data), tmp_path / "x.nii", datatype_code=vio.DTYPE_FLOAT32)
+        assert not (tmp_path / "x.nii").exists()
+
     def test_non_integral_rejected_for_int_target(self, tmp_path):
         vol = vio.Volume3D.from_array(np.full((2, 2, 4), 1.5))
         with pytest.raises(vio.ValueOutOfRange):
