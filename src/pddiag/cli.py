@@ -8,6 +8,7 @@ seeds, never the clock, so identical invocations produce identical outputs.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .training import (
     train_stage,
     write_loss_trace,
 )
-from .volume_io import DTYPE_FLOAT32, read_atlas, write_atlas, write_volume
+from .volume_io import read_atlas, write_atlas, write_volume
 
 PREDICTION_FIELDS = ["subject_id", "label", "p_pd", "delta", "predicted_age", "decision"]
 
@@ -110,7 +111,9 @@ def cmd_synth(args) -> int:
 
     The atlas, relevance table and manifest are written last, and a manifest
     left by an earlier run is removed first: a directory without
-    ``manifest.csv`` is an incomplete cohort.
+    ``manifest.csv`` is an incomplete cohort. Volumes an earlier, larger run
+    named ``s<digits>.nii`` are removed before the manifest is written; other
+    files in ``volumes/`` are left alone.
     """
     scfg = _config(args).synth_config()
     satlas = make_synth_atlas(scfg.dims, scfg.region_count)
@@ -120,9 +123,13 @@ def cmd_synth(args) -> int:
     subjects = []
     for rec in iter_subjects(scfg, satlas):
         rel = f"volumes/{rec.subject_id}.nii"
-        write_volume(rec.volume, out / rel, datatype_code=DTYPE_FLOAT32)
+        write_volume(rec.volume, out / rel)
         rec.path, rec.volume = rel, None
         subjects.append(rec)
+    written = {f"{rec.subject_id}.nii" for rec in subjects}
+    for stale in (out / "volumes").iterdir():
+        if re.fullmatch(r"s\d+\.nii", stale.name) and stale.name not in written:
+            stale.unlink()
     write_atlas(satlas.atlas, out / "atlas.nii")
     save_relevance_table(satlas.table, out / "relevance.csv")
     write_manifest(Cohort(subjects), out / "manifest.csv")

@@ -123,7 +123,5 @@ def load_config(path=None) -> RunConfig:
         if section not in SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in SCHEMA[section]:
-                raise ConfigError(f"unknown config key [{section}] {key}")
-            cfg.values[section][key] = _coerce(section, key, raw)
+            cfg.set(section, key, raw)
     return cfg

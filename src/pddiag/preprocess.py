@@ -1,12 +1,13 @@
 """Orchestration of the three external preprocessing steps with caching.
 
 The pipeline shells out to configurable commands for skull stripping, bias
-field correction, and registration to a standard template, in that fixed
-order. Results are cached by a digest of the raw input plus the resolved
-command strings, so rerunning is free and changing a tool or flag
-invalidates the cache. The manifest is a JSON-lines file; a record is
-appended only after the subject's final output is in place, which keeps a
-killed run from claiming unfinished work.
+field correction, and registration to a standard template, in the fixed
+order of ``STEPS``, each step reading the previous step's output. Results
+are cached by a digest of the raw input plus the resolved command strings,
+so rerunning is free and changing a tool or flag invalidates the cache.
+The manifest is a JSON-lines file; a record is appended only after the
+subject's final output is in place, which keeps a killed run from claiming
+unfinished work.
 """
 
 from __future__ import annotations
@@ -42,18 +43,9 @@ class ToolConfig:
     cache_dir: str = "preproc_cache"
     jobs: int = 1
 
-    def validate(self) -> None:
-        for name, cmd in (("strip", self.strip_cmd), ("bias", self.bias_cmd), ("register", self.register_cmd)):
-            for ph in ("{input}", "{output}"):
-                if ph not in cmd:
-                    raise ToolConfigError(f"{name} command template missing {ph} placeholder: {cmd!r}")
-        if "{template}" not in self.register_cmd:
-            raise ToolConfigError(f"register command template missing {{template}} placeholder: {self.register_cmd!r}")
-        if self.jobs < 1:
-            raise ToolConfigError(f"jobs must be >= 1, got {self.jobs}")
-
-    def commands(self) -> tuple[str, str, str]:
-        return self.strip_cmd, self.bias_cmd, self.register_cmd
+    def commands(self) -> tuple[str, ...]:
+        """The command templates in ``STEPS`` order."""
+        return tuple(getattr(self, f"{step}_cmd") for step in STEPS)
 
 
 @dataclass
@@ -108,22 +100,29 @@ def _load_manifest(path: Path) -> dict[str, dict]:
 
 class _Runner:
     def __init__(self, cfg: ToolConfig):
+        """Check every template and ``jobs`` before any subject runs; a bad one is a ``ToolConfigError``."""
+        if cfg.jobs < 1:
+            raise ToolConfigError(f"jobs must be >= 1, got {cfg.jobs}")
         self.cfg = cfg
-        self.cache = Path(cfg.cache_dir)
-        self.out_dir = self.cache / "out"
-        self.tmp_root = self.cache / "tmp"
-        self.manifest_path = self.cache / "manifest.jsonl"
+        cache = Path(cfg.cache_dir)
+        self.out_dir = cache / "out"
+        self.tmp_root = cache / "tmp"
+        self.manifest_path = cache / "manifest.jsonl"
         self.lock = threading.Lock()
         self.known = _load_manifest(self.manifest_path)
         # split once per run; placeholders are filled per token, so a path with spaces stays one argument
         self.argvs: dict[str, list[str]] = {}
-        for cmd in cfg.commands():
+        for step, cmd in zip(STEPS, cfg.commands()):
+            needs = ("{input}", "{output}", "{template}") if step == "register" else ("{input}", "{output}")
+            for ph in needs:
+                if ph not in cmd:
+                    raise ToolConfigError(f"{step} command template missing {ph} placeholder: {cmd!r}")
             try:
-                self.argvs[cmd] = shlex.split(cmd)
+                self.argvs[step] = shlex.split(cmd)
             except ValueError as exc:
                 raise ToolConfigError(f"cannot split command template {cmd!r}: {exc}") from exc
             try:
-                self.fill(self.argvs[cmd], "input", "output")
+                self.fill(self.argvs[step], "input", "output")
             except (AttributeError, IndexError, KeyError, ValueError) as exc:
                 msg = f"cannot fill command template {cmd!r}: {exc!r}; write a literal brace as {{{{ or }}}}"
                 raise ToolConfigError(msg) from exc
@@ -138,18 +137,12 @@ class _Runner:
         h.update(str(self.cfg.template_path).encode())
         return h.hexdigest()
 
-    def append_record(self, rec: PipelineRecord) -> None:
-        with self.lock:
-            with open(self.manifest_path, "a") as fh:
-                fh.write(rec.to_json() + "\n")
-                fh.flush()
-
     def fill(self, tokens: list[str], input_path, output_path) -> list[str]:
         paths = {"input": str(input_path), "output": str(output_path), "template": str(self.cfg.template_path)}
         return [token.format(**paths) for token in tokens]
 
-    def run_step(self, template: str, input_path: Path, output_path: Path) -> None:
-        argv = self.fill(self.argvs[template], input_path, output_path)
+    def run_step(self, step: str, input_path: Path, output_path: Path) -> None:
+        argv = self.fill(self.argvs[step], input_path, output_path)
         if self.which(argv[0]) is None:
             raise FileNotFoundError(f"command not found: {argv[0]}")
         proc = subprocess.run(argv, capture_output=True, text=True)
@@ -159,8 +152,10 @@ class _Runner:
             raise RuntimeError(f"{argv[0]} exited 0 but produced no output at {output_path}")
 
     def finish(self, rec: PipelineRecord) -> PipelineRecord:
+        """Stamp the record and append it to the manifest."""
         rec.finished_at = time.time()
-        self.append_record(rec)
+        with self.lock, open(self.manifest_path, "a") as fh:
+            fh.write(rec.to_json() + "\n")
         return rec
 
     def process(self, raw_path) -> PipelineRecord:
@@ -189,25 +184,19 @@ class _Runner:
             stage = "preparing the work directory"
             tmp = self.tmp_root / sid
             tmp.mkdir(parents=True, exist_ok=True)
-            stripped = tmp / "stripped.nii"
-            corrected = tmp / "corrected.nii"
-            registered = tmp / "registered.nii"
-            plan = [
-                ("strip", self.cfg.strip_cmd, raw, stripped),
-                ("bias", self.cfg.bias_cmd, stripped, corrected),
-                ("register", self.cfg.register_cmd, corrected, registered),
-            ]
-            for name, template, src, dst in plan:
+            src = raw
+            for step in STEPS:
+                dst = tmp / f"{step}.nii"
                 try:
-                    self.run_step(template, src, dst)
-                    rec.steps[name] = "ran"
+                    self.run_step(step, src, dst)
+                    rec.steps[step] = "ran"
                 except Exception as exc:
-                    rec.steps[name] = "failed"
+                    rec.steps[step] = "failed"
                     rec.error = str(exc)
                     return self.finish(rec)
+                src = dst
             stage = "finalising the output"
-            final.parent.mkdir(parents=True, exist_ok=True)
-            registered.replace(final)
+            src.replace(final)
             digest = _sha256_file(final)
             rec.output_path, rec.digest = str(final), digest
             shutil.rmtree(tmp, ignore_errors=True)
@@ -218,14 +207,12 @@ class _Runner:
 
 def run_pipeline(subjects, cfg: ToolConfig) -> list[PipelineRecord]:
     """Strip, bias-correct, and register each subject unless validly cached."""
-    cfg.validate()
+    runner = _Runner(cfg)
     subjects = list(subjects)
     stems = [Path(p).name.split(".")[0] for p in subjects]
     dupes = sorted(s for s, n in Counter(stems).items() if n > 1)
     if dupes:
         raise ValueError(f"subject ids derive from file stems and must be unique; duplicates: {dupes}")
-    runner = _Runner(cfg)
-    runner.cache.mkdir(parents=True, exist_ok=True)
     runner.out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.jobs == 1:
         return [runner.process(p) for p in subjects]

@@ -177,12 +177,11 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
-def adamw_step(params: list[Tensor], state: OptimState, lr: float | None = None) -> None:
-    """One decoupled-weight-decay Adam update; gradients read from param.grad."""
+def adamw_step(params: list[Tensor], state: OptimState) -> None:
+    """One decoupled-weight-decay Adam update at the cosine lr of ``state.step``; gradients read from param.grad."""
     if len(params) != len(state.m):
         raise ShapeMismatch(f"optimizer tracks {len(state.m)} params, got {len(params)}")
-    if lr is None:
-        lr = cosine_lr(state.step, state.total_steps, state.base_lr)
+    lr = cosine_lr(state.step, state.total_steps, state.base_lr)
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t

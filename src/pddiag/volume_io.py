@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -163,23 +163,17 @@ def parse_header(buf: bytes) -> VolumeHeader:
     if dim[0] != 3:
         raise UnsupportedDimensionality(f"dim[0] = {dim[0]}, only 3-D volumes supported")
     datatype = struct.unpack_from(end + "h", buf, 70)[0]
-    if datatype not in SUPPORTED_DATATYPES:
-        raise UnsupportedDatatype(f"datatype code {datatype} unsupported (want one of {sorted(SUPPORTED_DATATYPES)})")
     # x (dim[1]) is fastest in the payload; map (x, y, z) -> (W, H, D)
     dims = (int(dim[3]), int(dim[2]), int(dim[1]))
-    if any(d < 1 for d in dims):
-        raise NiftiFormatError(f"non-positive dims {dims}")
     pixdim = struct.unpack_from(end + "8f", buf, 76)
     vox_offset_f = struct.unpack_from(end + "f", buf, 108)[0]
     if not math.isfinite(vox_offset_f):
         raise NiftiFormatError(f"vox_offset {vox_offset_f} is not finite")
-    vox_offset = int(round(vox_offset_f))
-    if vox_offset < HEADER_SIZE:
-        raise NiftiFormatError(f"vox_offset {vox_offset_f} < {HEADER_SIZE}")
+    # VolumeHeader refuses an unsupported datatype, a dim below 1 and a vox_offset inside the header
     return VolumeHeader(
         dims=dims,
         datatype_code=int(datatype),
-        vox_offset=vox_offset,
+        vox_offset=int(round(vox_offset_f)),
         endianness=endianness,
         voxel_size=(float(pixdim[1]), float(pixdim[2]), float(pixdim[3])),
     )
@@ -247,32 +241,26 @@ def read_volume(path) -> Volume3D:
         raise NonFiniteData(f"{path}: {exc}") from None
 
 
-def write_volume(volume: Volume3D, path, datatype_code: int | None = None) -> None:
-    """Write little-endian header + zero padding to vox_offset + payload."""
-    code = volume.header.datatype_code if datatype_code is None else int(datatype_code)
-    if code not in SUPPORTED_DATATYPES:
-        raise UnsupportedDatatype(f"datatype code {code} not in {sorted(SUPPORTED_DATATYPES)}")
+def write_volume(volume: Volume3D, path) -> None:
+    """Write little-endian header + zero padding to vox_offset + payload, in the header's datatype.
+
+    NaN, Inf and values the datatype cannot hold are refused before the file is opened.
+    """
+    header = replace(volume.header, endianness="little")
+    code = header.datatype_code
     dtype_char, _ = SUPPORTED_DATATYPES[code]
     data = volume.data
+    lo, hi = data.min(), data.max()  # NaN and +-inf propagate, see Volume3D
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise NonFiniteData(f"{path}: volume contains NaN or Inf")
     if code in (DTYPE_UINT8, DTYPE_INT16):
         info = np.iinfo(np.dtype(dtype_char))
         if (data != np.round(data)).any():
             raise ValueOutOfRange(f"non-integral values cannot be written as datatype {code}")
-        if data.min() < info.min or data.max() > info.max:
-            raise ValueOutOfRange(
-                f"values in [{data.min()}, {data.max()}] exceed [{info.min}, {info.max}] for datatype {code}"
-            )
-    else:
-        fmax = float(np.finfo(np.float32).max)
-        if max(data.max(), -data.min()) > fmax:
-            raise ValueOutOfRange("values exceed float32 range")
-    header = VolumeHeader(
-        dims=volume.header.dims,
-        datatype_code=code,
-        vox_offset=volume.header.vox_offset,
-        endianness="little",
-        voxel_size=volume.header.voxel_size,
-    )
+        if lo < info.min or hi > info.max:
+            raise ValueOutOfRange(f"values in [{lo}, {hi}] exceed [{info.min}, {info.max}] for datatype {code}")
+    elif max(hi, -lo) > np.finfo(np.float32).max:
+        raise ValueOutOfRange("values exceed float32 range")
     payload = data.astype("<" + dtype_char, order="C")
     with replacing(path) as tmp, open(tmp, "wb") as fh:
         fh.write(_build_header_bytes(header))
@@ -294,4 +282,4 @@ def read_atlas(path, region_count: int | None = None) -> AtlasVolume:
 def write_atlas(atlas: AtlasVolume, path) -> None:
     code = DTYPE_UINT8 if atlas.region_count <= 255 else DTYPE_INT16
     vol = Volume3D.from_array(atlas.labels.astype(np.float64), voxel_size=atlas.voxel_size, datatype_code=code)
-    write_volume(vol, path, datatype_code=code)
+    write_volume(vol, path)

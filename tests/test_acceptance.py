@@ -344,7 +344,7 @@ def test_criterion_10_format_round_trips(tmp_path):
             data = rng.standard_normal(dims).astype(np.float32).astype(np.float64)
         vol = vio.Volume3D.from_array(data, datatype_code=code)
         path = tmp_path / f"v{i}.nii"
-        vio.write_volume(vol, path, datatype_code=code)
+        vio.write_volume(vol, path)
         back = vio.read_volume(path)
         assert back.header.dims == dims and back.header.datatype_code == code
         assert back.data.tobytes() == data.tobytes(), "payload bits preserved"

@@ -20,7 +20,7 @@ from pddiag.preprocess import ToolConfig
 from pddiag.priors import AgingPriorParams, save_relevance_table
 from pddiag.synth import SynthConfig, generate_cohort
 from pddiag.training import PredictionRecord, TrainConfig, load_checkpoint, save_checkpoint_atomic
-from pddiag.volume_io import DTYPE_FLOAT32, write_atlas, write_volume
+from pddiag.volume_io import write_atlas, write_volume
 
 
 def tree_digest(root: Path) -> dict:
@@ -79,7 +79,7 @@ class TestSynthCommand:
         cohort, satlas = generate_cohort(SynthConfig(n_subjects=6, dims=(8, 8, 8), seed=5))
         for rec in cohort:
             rec.path = f"volumes/{rec.subject_id}.nii"
-            write_volume(rec.volume, ref / rec.path, datatype_code=DTYPE_FLOAT32)
+            write_volume(rec.volume, ref / rec.path)
         write_atlas(satlas.atlas, ref / "atlas.nii")
         save_relevance_table(satlas.table, ref / "relevance.csv")
         write_manifest(cohort, ref / "manifest.csv")
@@ -120,6 +120,14 @@ class TestSynthCommand:
         assert "disk full" in capsys.readouterr().err
         assert len(calls) == 2
         assert not (tmp_path / "o" / "manifest.csv").exists()
+
+    def test_smaller_rerun_removes_stale_volumes(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli("synth", "--out", out, "--n", 6, "--dims", 8, "--seed", 1) == 0
+        (out / "volumes" / "keep.txt").write_text("not a synth volume")
+        assert run_cli("synth", "--out", out, "--n", 2, "--dims", 8, "--seed", 1) == 0
+        assert sorted(p.name for p in (out / "volumes").iterdir()) == ["keep.txt", "s0000.nii", "s0001.nii"]
+        assert len((out / "manifest.csv").read_text().splitlines()) == 1 + 2
 
     def test_unknown_subcommand_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

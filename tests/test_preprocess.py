@@ -251,6 +251,33 @@ class TestRunPipeline:
             key.update(cmd.encode())
         assert rec.cache_key == key.hexdigest()
 
+    def test_cache_key_is_pinned(self, tmp_path):
+        # recorded before the steps became one loop; a change here invalidates every existing cache
+        raw = tmp_path / "s1.nii"
+        raw.write_bytes(b"RAW-1")
+        cfg = ToolConfig(
+            strip_cmd="cp {input} {output}",
+            bias_cmd="cp -- {input} {output}",  # differs from strip, so a swap of the two changes the key
+            register_cmd="""sh -c 'cp "$0" "$1"' {input} {output} {template}""",
+            template_path="template.nii",
+            cache_dir=str(tmp_path / "cache"),
+        )
+        [rec] = run_pipeline([raw], cfg)
+        assert rec.ok, rec.error
+        assert rec.cache_key == "80c17b41b83dffa840b9fc3445cf90898f7849d0d1bf4206e160e17302026bad"
+        assert rec.digest == hashlib.sha256(b"RAW-1").hexdigest()
+
+    def test_each_step_reads_the_previous_output(self, harness):
+        [raw] = harness.subjects(1)
+        [rec] = run_pipeline([raw], harness.config())
+        assert rec.ok, rec.error
+        calls = [line.split(" -> ") for line in harness.counts.read_text().splitlines()]
+        assert len(calls) == len(preprocess.STEPS)
+        assert calls[0][0] == str(raw)
+        for (_, prev_dst), (src, _) in zip(calls, calls[1:]):
+            assert src == prev_dst
+        assert len({dst for _, dst in calls}) == len(calls)
+
     def test_unsplittable_template_rejected(self, harness):
         with pytest.raises(ToolConfigError, match="cannot split"):
             run_pipeline(harness.subjects(1), harness.config(bias_cmd="cp '{input} {output}"))

@@ -45,10 +45,10 @@ class TestCosineLr:
             tr.cosine_lr(-1, 100, 1e-3)
 
 
-def adamw_scalar_oracle(w, g, lr, wd, steps):
-    """Independent reimplementation of the decoupled-decay update."""
+def adamw_scalar_oracle(w, g, lrs, wd):
+    """Independent reimplementation of the decoupled-decay update, one step per lr in ``lrs``."""
     m = v = 0.0
-    for t in range(1, steps + 1):
+    for t, lr in enumerate(lrs, start=1):
         w = w * (1.0 - lr * wd)
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
@@ -67,49 +67,50 @@ class TestAdamW:
     def test_zero_grad_zero_decay_identity(self):
         p, state = self._single(1.5)
         p.grad = np.zeros(())
-        tr.adamw_step([p], state, lr=0.1)
+        tr.adamw_step([p], state)
         assert p.data == 1.5
 
     def test_matches_scalar_oracle_first_step(self):
         p, state = self._single(1.0)
         p.grad = np.asarray(1.0)
-        tr.adamw_step([p], state, lr=0.1)
-        assert float(p.data) == pytest.approx(adamw_scalar_oracle(1.0, 1.0, 0.1, 0.0, 1), abs=1e-12)
+        tr.adamw_step([p], state)  # lr = cosine(0, 10) = base
+        assert float(p.data) == pytest.approx(adamw_scalar_oracle(1.0, 1.0, [0.1], 0.0), abs=1e-12)
 
     def test_matches_scalar_oracle_many_steps(self):
         p = ad.parameter(np.array(0.7))
         state = tr.OptimState.init([p], base_lr=0.05, weight_decay=0.01, total_steps=100)
         for _ in range(7):
             p.grad = np.asarray(-0.3)
-            tr.adamw_step([p], state, lr=0.05)
-        assert float(p.data) == pytest.approx(adamw_scalar_oracle(0.7, -0.3, 0.05, 0.01, 7), abs=1e-12)
+            tr.adamw_step([p], state)
+        lrs = [0.05 * 0.5 * (1.0 + math.cos(math.pi * t / 100)) for t in range(7)]  # the cosine lr of each step
+        assert float(p.data) == pytest.approx(adamw_scalar_oracle(0.7, -0.3, lrs, 0.01), abs=1e-12)
 
     def test_decoupled_decay_with_zero_grad(self):
         p = ad.parameter(np.array(2.0))
         state = tr.OptimState.init([p], base_lr=0.1, weight_decay=0.5, total_steps=10)
         p.grad = np.zeros(())
-        tr.adamw_step([p], state, lr=0.1)
+        tr.adamw_step([p], state)
         assert float(p.data) == pytest.approx(2.0 * (1.0 - 0.1 * 0.5), abs=1e-15)
 
     def test_lr_zero_is_identity(self):
         p = ad.parameter(np.array([1.0, -2.0]))
         state = tr.OptimState.init([p], base_lr=0.0, weight_decay=0.9, total_steps=10)
         p.grad = np.array([5.0, -7.0])
-        tr.adamw_step([p], state, lr=0.0)
+        tr.adamw_step([p], state)
         assert (p.data == [1.0, -2.0]).all()
 
     def test_nonfinite_gradient_fails_fast(self):
         p, state = self._single(1.0)
         p.grad = np.asarray(np.nan)
         with pytest.raises(ValueError, match="non-finite"):
-            tr.adamw_step([p], state, lr=0.1)
+            tr.adamw_step([p], state)
 
     def test_schedule_used_when_lr_omitted(self):
         p = ad.parameter(np.array(1.0))
         state = tr.OptimState.init([p], base_lr=0.1, weight_decay=0.0, total_steps=2)
         p.grad = np.asarray(1.0)
         tr.adamw_step([p], state)  # lr = cosine(0, 2) = base
-        assert float(p.data) == pytest.approx(adamw_scalar_oracle(1.0, 1.0, 0.1, 0.0, 1), abs=1e-12)
+        assert float(p.data) == pytest.approx(adamw_scalar_oracle(1.0, 1.0, [0.1], 0.0), abs=1e-12)
 
 
 class TestGradientCheck:

@@ -138,8 +138,8 @@ class TestReadWrite:
         assert (back.data == expected).all()
 
     def test_uint8_exact(self, tmp_path):
-        vol = vio.Volume3D.from_array(np.full((4, 4, 4), 255.0))
-        vio.write_volume(vol, tmp_path / "u8.nii", datatype_code=vio.DTYPE_UINT8)
+        vol = vio.Volume3D.from_array(np.full((4, 4, 4), 255.0), datatype_code=vio.DTYPE_UINT8)
+        vio.write_volume(vol, tmp_path / "u8.nii")
         back = vio.read_volume(tmp_path / "u8.nii")
         assert (back.data == 255.0).all()
         assert back.header.datatype_code == vio.DTYPE_UINT8
@@ -147,27 +147,37 @@ class TestReadWrite:
     def test_int16_exact(self, tmp_path):
         rng = np.random.default_rng(3)
         data = rng.integers(-32768, 32768, size=(5, 4, 8)).astype(np.float64)
-        vol = vio.Volume3D.from_array(data)
-        vio.write_volume(vol, tmp_path / "i16.nii", datatype_code=vio.DTYPE_INT16)
+        vol = vio.Volume3D.from_array(data, datatype_code=vio.DTYPE_INT16)
+        vio.write_volume(vol, tmp_path / "i16.nii")
         assert (vio.read_volume(tmp_path / "i16.nii").data == data).all()
 
     def test_value_out_of_range_uint8(self, tmp_path):
-        vol = vio.Volume3D.from_array(np.full((2, 2, 4), 300.0))
+        vol = vio.Volume3D.from_array(np.full((2, 2, 4), 300.0), datatype_code=vio.DTYPE_UINT8)
         with pytest.raises(vio.ValueOutOfRange):
-            vio.write_volume(vol, tmp_path / "x.nii", datatype_code=vio.DTYPE_UINT8)
+            vio.write_volume(vol, tmp_path / "x.nii")
 
     @pytest.mark.parametrize("value", [4e38, -4e38])
     def test_float32_overflow_rejected_either_sign(self, tmp_path, value):
         data = np.zeros((2, 2, 4))
         data[1, 1, 3] = value
         with pytest.raises(vio.ValueOutOfRange, match="float32"):
-            vio.write_volume(vio.Volume3D.from_array(data), tmp_path / "x.nii", datatype_code=vio.DTYPE_FLOAT32)
+            vio.write_volume(vio.Volume3D.from_array(data, datatype_code=vio.DTYPE_FLOAT32), tmp_path / "x.nii")
         assert not (tmp_path / "x.nii").exists()
 
+    @pytest.mark.parametrize("code", [vio.DTYPE_UINT8, vio.DTYPE_INT16, vio.DTYPE_FLOAT32])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_voxel_refused_on_write(self, tmp_path, bad, code):
+        # Volume3D checks its data when built; this one is changed afterwards
+        vol = vio.Volume3D.from_array(np.zeros((2, 2, 4)), datatype_code=code)
+        vol.data[1, 0, 2] = bad
+        with pytest.raises(vio.NonFiniteData, match="x.nii"):
+            vio.write_volume(vol, tmp_path / "x.nii")
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_integral_rejected_for_int_target(self, tmp_path):
-        vol = vio.Volume3D.from_array(np.full((2, 2, 4), 1.5))
+        vol = vio.Volume3D.from_array(np.full((2, 2, 4), 1.5), datatype_code=vio.DTYPE_UINT8)
         with pytest.raises(vio.ValueOutOfRange):
-            vio.write_volume(vol, tmp_path / "x.nii", datatype_code=vio.DTYPE_UINT8)
+            vio.write_volume(vol, tmp_path / "x.nii")
 
     def test_file_size_arithmetic(self, tmp_path):
         vol = vio.Volume3D.from_array(np.zeros((4, 4, 4)))
@@ -177,9 +187,9 @@ class TestReadWrite:
         assert path.stat().st_size == 352 + 64 * 4
 
     def test_write_then_parse_header(self, tmp_path):
-        vol = vio.Volume3D.from_array(np.zeros((6, 5, 4)))
+        vol = vio.Volume3D.from_array(np.zeros((6, 5, 4)), datatype_code=vio.DTYPE_INT16)
         path = tmp_path / "h.nii"
-        vio.write_volume(vol, path, datatype_code=vio.DTYPE_INT16)
+        vio.write_volume(vol, path)
         hdr = vio.parse_header(path.read_bytes()[:348])
         assert hdr.dims == (6, 5, 4)
         assert hdr.datatype_code == vio.DTYPE_INT16
@@ -214,7 +224,7 @@ class TestReadWrite:
         # the float64 result takes 2.1 MB; the 1 MB float32 payload beside it
         # made the peak 3.15 MB
         path = tmp_path / "v64.nii"
-        vio.write_volume(vio.Volume3D.from_array(np.ones((64, 64, 64))), path, datatype_code=vio.DTYPE_FLOAT32)
+        vio.write_volume(vio.Volume3D.from_array(np.ones((64, 64, 64)), datatype_code=vio.DTYPE_FLOAT32), path)
         tracemalloc.start()
         try:
             vol = vio.read_volume(path)
@@ -325,8 +335,8 @@ class TestAtlas:
         assert back.region_count == 3
 
     def test_atlas_rejects_float_datatype(self, tmp_path):
-        vol = vio.Volume3D.from_array(np.ones((4, 4, 4)))
-        vio.write_volume(vol, tmp_path / "f.nii", datatype_code=vio.DTYPE_FLOAT32)
+        vol = vio.Volume3D.from_array(np.ones((4, 4, 4)), datatype_code=vio.DTYPE_FLOAT32)
+        vio.write_volume(vol, tmp_path / "f.nii")
         with pytest.raises(vio.UnsupportedDatatype):
             vio.read_atlas(tmp_path / "f.nii")
 
