@@ -248,8 +248,6 @@ def cmd_evaluate(args) -> int:
         if not args.checkpoint:
             raise ValueError("evaluate needs --predictions or --checkpoint with cohort data")
         folds = [_records_from_model(cfg, args)]
-    if any(r.label is None for records in folds for r in records):
-        raise ValueError("cohort has unlabeled subjects; use `pddiag predict` for label-free data")
     if len(folds) == 1:
         text = metrics_from_records(folds[0]).to_kv_text()
     else:
@@ -271,8 +269,6 @@ def cmd_report(args) -> int:
     if not args.predictions:
         raise ValueError("report needs --predictions (or use --dump-config alone)")
     records = read_predictions(args.predictions)
-    if any(r.label is None for r in records):
-        raise ValueError("predictions lack labels; a report needs labeled data")
     metrics = metrics_from_records(records)
     print("confusion matrix (rows: truth, cols: decision)")
     print("           pd    other")

@@ -7,7 +7,9 @@ are cached by a digest of the raw input plus the resolved command strings,
 so rerunning is free and changing a tool or flag invalidates the cache.
 The manifest is a JSON-lines file; a record is appended only after the
 subject's final output is in place, which keeps a killed run from claiming
-unfinished work.
+unfinished work. A subject's work directory is removed when the subject
+finishes, whether or not it succeeded. Tool stdout is discarded; a failed
+step's error quotes the tool's stderr, with undecodable bytes replaced.
 """
 
 from __future__ import annotations
@@ -81,20 +83,18 @@ def _sha256_file(path) -> str:
 
 
 def _load_manifest(path: Path) -> dict[str, dict]:
-    """Last completed record per subject wins."""
+    """Last completed record per subject wins; a line that is no record is ignored."""
     entries: dict[str, dict] = {}
     if not path.exists():
         return entries
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
             try:
                 rec = json.loads(line)
+            except (ValueError, RecursionError):
+                continue  # torn write from a killed run, undecodable bytes, or nesting too deep
+            if isinstance(rec, dict) and isinstance(rec.get("subject_id"), str):
                 entries[rec["subject_id"]] = rec
-            except (json.JSONDecodeError, KeyError, TypeError):
-                continue  # torn write from a killed run, or no record at all; ignore
     return entries
 
 
@@ -145,25 +145,19 @@ class _Runner:
         argv = self.fill(self.argvs[step], input_path, output_path)
         if self.which(argv[0]) is None:
             raise FileNotFoundError(f"command not found: {argv[0]}")
-        proc = subprocess.run(argv, capture_output=True, text=True)
+        proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
         if proc.returncode != 0:
-            raise RuntimeError(f"{argv[0]} exited {proc.returncode}: {proc.stderr.strip()[:500]}")
+            stderr = proc.stderr.decode(errors="replace").strip()[:500]
+            raise RuntimeError(f"{argv[0]} exited {proc.returncode}: {stderr}")
         if not output_path.exists():
             raise RuntimeError(f"{argv[0]} exited 0 but produced no output at {output_path}")
 
-    def finish(self, rec: PipelineRecord) -> PipelineRecord:
-        """Stamp the record and append it to the manifest."""
-        rec.finished_at = time.time()
-        with self.lock, open(self.manifest_path, "a") as fh:
-            fh.write(rec.to_json() + "\n")
-        return rec
-
-    def process(self, raw_path) -> PipelineRecord:
+    def process(self, raw_path, sid: str) -> PipelineRecord:
         """Run or reuse one subject's steps; an ``OSError`` outside them is recorded with its stage."""
         raw = Path(raw_path)
-        sid = raw.name.split(".")[0]
         rec = PipelineRecord(subject_id=sid, started_at=time.time())
         final = self.out_dir / f"{sid}.nii"
+        tmp = self.tmp_root / sid
         stage = "hashing the input"
         try:
             key = self.cache_key(_sha256_file(raw))
@@ -179,30 +173,32 @@ class _Runner:
             ):
                 rec.steps = {s: "skipped" for s in STEPS}
                 rec.output_path, rec.digest = str(final), prev["digest"]
-                return self.finish(rec)
-
-            stage = "preparing the work directory"
-            tmp = self.tmp_root / sid
-            tmp.mkdir(parents=True, exist_ok=True)
-            src = raw
-            for step in STEPS:
-                dst = tmp / f"{step}.nii"
-                try:
-                    self.run_step(step, src, dst)
+            else:
+                stage = "preparing the work directory"
+                tmp.mkdir(parents=True, exist_ok=True)
+                src = raw
+                for step in STEPS:
+                    dst = tmp / f"{step}.nii"
+                    try:
+                        self.run_step(step, src, dst)
+                    except Exception as exc:
+                        rec.steps[step] = "failed"
+                        rec.error = str(exc)
+                        break
                     rec.steps[step] = "ran"
-                except Exception as exc:
-                    rec.steps[step] = "failed"
-                    rec.error = str(exc)
-                    return self.finish(rec)
-                src = dst
-            stage = "finalising the output"
-            src.replace(final)
-            digest = _sha256_file(final)
-            rec.output_path, rec.digest = str(final), digest
-            shutil.rmtree(tmp, ignore_errors=True)
+                    src = dst
+                else:
+                    stage = "finalising the output"
+                    src.replace(final)
+                    rec.output_path, rec.digest = str(final), _sha256_file(final)
         except OSError as exc:
             rec.error = f"{stage}: {exc}"
-        return self.finish(rec)
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
+        rec.finished_at = time.time()
+        with self.lock, open(self.manifest_path, "a") as fh:
+            fh.write(rec.to_json() + "\n")
+        return rec
 
 
 def run_pipeline(subjects, cfg: ToolConfig) -> list[PipelineRecord]:
@@ -214,7 +210,5 @@ def run_pipeline(subjects, cfg: ToolConfig) -> list[PipelineRecord]:
     if dupes:
         raise ValueError(f"subject ids derive from file stems and must be unique; duplicates: {dupes}")
     runner.out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.jobs == 1:
-        return [runner.process(p) for p in subjects]
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        return list(pool.map(runner.process, subjects))
+        return list(pool.map(runner.process, subjects, stems))

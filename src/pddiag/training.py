@@ -409,7 +409,7 @@ def predict(
 
 def metrics_from_records(records: list[PredictionRecord]) -> Metrics:
     if any(r.label is None for r in records):
-        raise ValueError("records include unlabeled subjects; run prediction instead of evaluation")
+        raise ValueError("records include unlabeled subjects; use `pddiag predict` for label-free data")
     tp = sum(1 for r in records if r.label is Label.PD and r.decision is Label.PD)
     fn = sum(1 for r in records if r.label is Label.PD and r.decision is Label.OTHER)
     fp = sum(1 for r in records if r.label is Label.OTHER and r.decision is Label.PD)

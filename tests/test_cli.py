@@ -304,6 +304,16 @@ class TestPredictEvaluateReport:
         assert float(last[0]) == 1.0 and float(last[1]) == 1.0
         assert "confusion matrix" in capsys.readouterr().out
 
+    def test_report_unlabeled_writes_no_roc(self, tmp_path, capsys):
+        fixture = tmp_path / "nolabel.csv"
+        fixture.write_text(
+            "subject_id,label,p_pd,delta,predicted_age,decision\ns0,,0.9,1.0,66.0,pd\ns1,pd,0.2,0.0,65.0,other\n"
+        )
+        roc = tmp_path / "roc.csv"
+        assert run_cli("report", "--predictions", fixture, "--out-roc", roc) == 1
+        assert "predict" in capsys.readouterr().err
+        assert not roc.exists()
+
 
 PREDICTION_HEADER = ",".join(PREDICTION_FIELDS)
 

@@ -1,9 +1,12 @@
+import dataclasses
 import hashlib
 import json
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pddiag import preprocess
 from pddiag.preprocess import ToolConfig, ToolConfigError, run_pipeline
@@ -28,6 +31,24 @@ import sys
 with open(sys.argv[1], "a") as fh:
     fh.write("silent-call\\n")
 """
+
+# a bias tool that fails on one subject's work file and copies every other
+PICKY_BIAS = """sh -c 'case "$0" in */sub03/*) echo "no brain in $0" >&2; exit 3;; esac; cp "$0" "$1"' {input} {output}"""
+
+
+class CountingSubprocess:
+    """Stands in for ``subprocess`` inside ``pddiag.preprocess``: counts ``run``, forwards the rest."""
+
+    def __init__(self, real):
+        self.real = real
+        self.runs = 0
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+    def run(self, *args, **kwargs):
+        self.runs += 1
+        return self.real.run(*args, **kwargs)
 
 
 @pytest.fixture
@@ -201,8 +222,9 @@ class TestRunPipeline:
         cfg = harness.config()
         run_pipeline(subjects, cfg)
         manifest = Path(cfg.cache_dir) / "manifest.jsonl"
-        with open(manifest, "a") as fh:
-            fh.write('{"steps": {}}\n[1, 2]\n"sub00"\n{"subject_id": ["sub00"]}\n{"subject_id": "sub0\n')
+        with open(manifest, "ab") as fh:
+            fh.write(b'{"steps": {}}\n[1, 2]\n"sub00"\n{"subject_id": ["sub00"]}\n\xff\n')
+            fh.write(b"[" * 100_000 + b'\n{"subject_id": "sub0\n')
         records = run_pipeline(subjects, cfg)
         assert records[0].steps == {s: "skipped" for s in ("strip", "bias", "register")}
         assert harness.invocations() == 3
@@ -227,6 +249,70 @@ class TestRunPipeline:
         run_pipeline(harness.subjects(1), cfg)
         tmp_root = Path(cfg.cache_dir) / "tmp"
         assert not any(tmp_root.iterdir()) if tmp_root.exists() else True
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_subject_leaves_no_work_directory(self, harness, jobs):
+        subjects = harness.subjects(3)
+        broken = harness.config(bias_cmd=harness.cmd(harness.fail), jobs=jobs)
+        records = run_pipeline(subjects, broken)
+        assert all(r.steps == {"strip": "ran", "bias": "failed"} for r in records)
+        tmp_root = Path(broken.cache_dir) / "tmp"
+        assert list(tmp_root.iterdir()) == []
+        records = run_pipeline(subjects, harness.config(jobs=jobs))
+        assert all(r.ok for r in records), [r.error for r in records]
+        assert list(tmp_root.iterdir()) == []
+
+    def test_records_do_not_depend_on_jobs(self, harness, monkeypatch):
+        # cached, fresh, unreadable and failing subjects in one cohort
+        subjects = harness.subjects(6)
+        subjects[1].unlink()
+
+        def records_at(jobs):
+            run_dir = harness.root / f"jobs{jobs}"
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)  # a relative cache_dir gives both runs the same output paths
+            cfg = harness.config(bias_cmd=PICKY_BIAS, cache_dir="cache", jobs=jobs)
+            run_pipeline([subjects[0], subjects[4]], cfg)
+            records = run_pipeline(subjects, cfg)
+            rows = []
+            for rec in records:
+                row = dataclasses.asdict(rec)
+                del row["started_at"], row["finished_at"]
+                rows.append((row, list(rec.steps.items()), rec.ok))
+            return rows
+
+        serial = records_at(1)
+        assert serial == records_at(2)
+        assert [row["subject_id"] for row, _, _ in serial] == [p.name.split(".")[0] for p in subjects]
+        assert [ok for _, _, ok in serial] == [True, False, True, False, True, True]
+        assert serial[0][0]["steps"] == {s: "skipped" for s in preprocess.STEPS}
+        assert serial[2][0]["steps"] == {s: "ran" for s in preprocess.STEPS}
+        assert serial[3][1] == [("strip", "ran"), ("bias", "failed")]
+        assert serial[3][0]["error"].startswith("sh exited 3: no brain in ")
+
+    def test_undecodable_stderr_of_a_tool_that_succeeds(self, harness):
+        cfg = harness.config(strip_cmd="""sh -c 'printf "\\377" >&2; cp "$0" "$1"' {input} {output}""")
+        records = run_pipeline(harness.subjects(2), cfg)
+        for rec in records:
+            assert rec.ok, rec.error
+            assert rec.steps["strip"] == "ran"
+
+    def test_undecodable_stderr_is_quoted_replaced(self, harness):
+        cfg = harness.config(strip_cmd="""sh -c 'printf "bad \\377 byte" >&2; exit 1' {input} {output}""")
+        [rec] = run_pipeline(harness.subjects(1), cfg)
+        assert rec.steps == {"strip": "failed"}
+        assert rec.error == "sh exited 1: bad \ufffd byte"
+
+    def test_tool_runs_go_through_the_module_subprocess(self, harness, monkeypatch):
+        # the benchmark's tracer times tools by swapping preprocess.subprocess the same way
+        counting = CountingSubprocess(preprocess.subprocess)
+        monkeypatch.setattr(preprocess, "subprocess", counting)
+        subjects = harness.subjects(3)
+        cfg = harness.config()
+        assert all(r.ok for r in run_pipeline(subjects, cfg))
+        assert counting.runs == 3 * len(preprocess.STEPS)
+        assert all(r.ok for r in run_pipeline(subjects, cfg))
+        assert counting.runs == 3 * len(preprocess.STEPS)
 
     def test_spaced_paths_stay_one_argument(self, tmp_path):
         raw = tmp_path / "raw dir" / "s1.nii"
@@ -335,6 +421,29 @@ class TestRunPipeline:
         for rec in records:
             assert rec.steps == {"strip": "ran", "bias": "failed"}
             assert rec.error == "command not found: no-such-tool-xyz"
+
+
+class TestLoadManifest:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.binary(max_size=40),
+                st.builds(
+                    lambda sid, extra: json.dumps({"subject_id": sid, **extra}).encode(),
+                    st.one_of(st.text(max_size=5), st.integers(), st.none()),
+                    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+                ),
+            ).map(lambda b: b.replace(b"\n", b"") + b"\n"),
+            max_size=8,
+        )
+    )
+    def test_never_raises_and_keys_records_by_their_id(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("manifest") / "manifest.jsonl"
+        path.write_bytes(b"".join(lines))
+        entries = preprocess._load_manifest(path)
+        for sid, rec in entries.items():
+            assert isinstance(rec, dict) and rec["subject_id"] == sid
 
 
 class TestPipelineRecord:
