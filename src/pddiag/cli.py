@@ -18,7 +18,7 @@ from .config import SCHEMA, RunConfig, load_config
 from .csvtable import read_rows, write_rows
 from .diagnoser import Label
 from .preprocess import run_pipeline
-from .priors import RelevanceTable, default_relevance_table, load_relevance_table, save_relevance_table
+from .priors import default_relevance_table, load_relevance_table, save_relevance_table
 from .synth import iter_subjects, make_synth_atlas, split_cohort
 from .training import (
     Metrics,
@@ -46,6 +46,12 @@ def _config_flag(parser, section: str, key: str, flag: str | None = None, **kwar
     parser.add_argument(option, dest=f"{section}.{key}", type=type(SCHEMA[section][key]), **kwargs)
 
 
+def _data_flags(parser) -> None:
+    """``--manifest``, ``--atlas`` and ``--relevance``, overriding the ``[data]`` paths."""
+    for flag, key in (("manifest", "cohort_manifest"), ("atlas", "atlas_path"), ("relevance", "relevance_csv")):
+        _config_flag(parser, "data", key, flag=flag)
+
+
 def _config(args: argparse.Namespace) -> RunConfig:
     """The ``--config`` file with every given config flag (dest ``section.key``) applied over it."""
     cfg = load_config(args.config)
@@ -55,24 +61,20 @@ def _config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _load_table(cfg: RunConfig, args) -> RelevanceTable:
-    path = getattr(args, "relevance", None) or cfg.get("data", "relevance_csv")
-    return load_relevance_table(path) if path else default_relevance_table()
-
-
-def _read_cohort(cfg: RunConfig, args) -> Cohort:
-    manifest = getattr(args, "manifest", None) or cfg.get("data", "cohort_manifest")
+def _read_cohort(cfg: RunConfig) -> Cohort:
+    manifest = cfg.get("data", "cohort_manifest")
     if not manifest:
         raise ValueError("no cohort manifest given (flag --manifest or config data.cohort_manifest)")
     return read_manifest(manifest)
 
 
-def _load_data(cfg: RunConfig, args):
-    cohort = _read_cohort(cfg, args)
-    atlas_path = getattr(args, "atlas", None) or cfg.get("data", "atlas_path")
+def _load_data(cfg: RunConfig):
+    cohort = _read_cohort(cfg)
+    atlas_path = cfg.get("data", "atlas_path")
     if not atlas_path:
         raise ValueError("no atlas given (flag --atlas or config data.atlas_path)")
-    table = _load_table(cfg, args)
+    relevance = cfg.get("data", "relevance_csv")
+    table = load_relevance_table(relevance) if relevance else default_relevance_table()
     return cohort, read_atlas(atlas_path, region_count=table.region_count), table
 
 
@@ -141,7 +143,7 @@ def cmd_synth(args) -> int:
 
 def cmd_split(args) -> int:
     cfg = _config(args)
-    cohort = _read_cohort(cfg, args)
+    cohort = _read_cohort(cfg)
     for s in cohort:
         if s.path:
             s.path = str(Path(s.path).resolve())
@@ -157,7 +159,7 @@ def cmd_split(args) -> int:
 
 def cmd_preprocess(args) -> int:
     cfg = _config(args)
-    cohort = _read_cohort(cfg, args)
+    cohort = _read_cohort(cfg)
     pathless = [s.subject_id for s in cohort if s.path is None]
     if pathless:
         raise ValueError(f"manifest rows without a path cannot be preprocessed: {', '.join(pathless)}")
@@ -169,7 +171,7 @@ def cmd_preprocess(args) -> int:
     if args.out_manifest:
         survivors = [(s, r) for s, r in zip(cohort, records) if r.ok]
         for s, r in survivors:
-            s.path = r.output_path
+            s.path = str(Path(r.output_path).resolve())
         write_manifest(Cohort([s for s, _ in survivors]), args.out_manifest)
         print(f"processed manifest: {args.out_manifest}")
     return 0 if all(r.ok for r in records) else 1
@@ -178,7 +180,7 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     cfg = _config(args)
     config = cfg.train_config()  # rejects bad settings before anything is written
-    cohort, atlas, table = _load_data(cfg, args)
+    cohort, atlas, table = _load_data(cfg)
     stage = int(cfg.get("train", "stage"))
     out_dir = Path(args.out_dir)
     if stage == 1:
@@ -208,15 +210,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _records_from_model(cfg, args) -> list[PredictionRecord]:
-    cohort, atlas, table = _load_data(cfg, args)
-    params, _, _ = load_checkpoint(args.checkpoint)
+def _records_from_model(cfg, checkpoint) -> list[PredictionRecord]:
+    cohort, atlas, table = _load_data(cfg)
+    params, _, _ = load_checkpoint(checkpoint)
     return predict(params, cohort, atlas, table, cfg.prior())
 
 
 def cmd_predict(args) -> int:
     cfg = _config(args)
-    records = _records_from_model(cfg, args)
+    records = _records_from_model(cfg, args.checkpoint)
     write_predictions(records, args.out)
     print(f"predictions: {args.out}")
     return 0
@@ -247,7 +249,7 @@ def cmd_evaluate(args) -> int:
     else:
         if not args.checkpoint:
             raise ValueError("evaluate needs --predictions or --checkpoint with cohort data")
-        folds = [_records_from_model(cfg, args)]
+        folds = [_records_from_model(cfg, args.checkpoint)]
     if len(folds) == 1:
         text = metrics_from_records(folds[0]).to_kv_text()
     else:
@@ -300,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="write stratified k-fold train/test manifests")
     p.add_argument("--config")
-    p.add_argument("--manifest")
+    _config_flag(p, "data", "cohort_manifest", flag="manifest")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", dest="out_dir", required=True)
@@ -308,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="run skull strip, bias correction, registration with caching")
     p.add_argument("--config")
-    p.add_argument("--manifest", help="cohort manifest of raw scans")
+    _config_flag(p, "data", "cohort_manifest", flag="manifest", help="cohort manifest of raw scans")
     p.add_argument("--out-manifest", dest="out_manifest", help="write manifest of processed scans")
     for key in ("jobs", "cache_dir"):
         _config_flag(p, "preprocess", key)
@@ -318,9 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     _config_flag(p, "train", "stage", choices=(1, 2, 3), metavar=None)
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--manifest")
-    p.add_argument("--atlas")
-    p.add_argument("--relevance")
+    _data_flags(p)
     for key in ("epochs", "batch", "lr", "weight_decay", "seed"):
         _config_flag(p, "train", key)
     _config_flag(p, "model", "channels")
@@ -329,9 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="write per-subject predictions CSV")
     p.add_argument("--config")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--manifest")
-    p.add_argument("--atlas")
-    p.add_argument("--relevance")
+    _data_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
@@ -343,9 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="existing predictions CSV; repeat for per-fold files to get mean and pooled summaries",
     )
     p.add_argument("--checkpoint")
-    p.add_argument("--manifest")
-    p.add_argument("--atlas")
-    p.add_argument("--relevance")
+    _data_flags(p)
     p.add_argument("--out", help="write metrics key-value document")
     p.set_defaults(func=cmd_evaluate)
 

@@ -1,4 +1,4 @@
-"""Subject records, cohorts, and the cohort manifest CSV."""
+"""Subject records, cohorts, and the cohort manifest CSV; a record read from a manifest holds a path, not a volume."""
 
 from __future__ import annotations
 
@@ -26,18 +26,13 @@ class SubjectRecord:
         if self.is_healthy and self.label is not Label.OTHER:
             raise ValueError(f"{self.subject_id}: is_healthy requires label 'other'")
 
-    def fetch_volume(self) -> Volume3D:
+    def load_volume(self) -> Volume3D:
         """The in-memory volume, else a fresh read of ``path`` that the record does not keep."""
         if self.volume is not None:
             return self.volume
         if self.path is None:
             raise ValueError(f"{self.subject_id}: no volume and no path to load from")
         return read_volume(self.path)
-
-    def load_volume(self) -> Volume3D:
-        """Like fetch_volume, but a volume read from ``path`` stays on the record."""
-        self.volume = self.fetch_volume()
-        return self.volume
 
 
 @dataclass

@@ -11,6 +11,8 @@ belong to no dataclass and are written out here.
 
 Flags override file values; the effective config (defaults included) can be
 dumped back out as INI, so a run is always reproducible from one document.
+``RunConfig.digest`` hashes every setting but the ``[data]`` paths: it names
+how a run runs, not where its files lie or whether flags or a file gave them.
 """
 
 from __future__ import annotations
@@ -104,7 +106,9 @@ class RunConfig:
         return "\n".join(lines)
 
     def digest(self) -> str:
-        return hashlib.sha256(self.dump().encode()).hexdigest()[:16]
+        """A hash of every setting but the ``[data]`` paths: the dump with ``[data]`` at its defaults."""
+        settings = RunConfig(self.values | {"data": dict(SCHEMA["data"])})
+        return hashlib.sha256(settings.dump().encode()).hexdigest()[:16]
 
 
 def load_config(path=None) -> RunConfig:

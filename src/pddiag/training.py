@@ -21,7 +21,9 @@ Forward passes that need no gradient (stage 2's fixed features and
 arrays, so they build no autodiff graph and ``conv3d_down`` takes its
 cache-blocked path. ``predict`` streams the cohort: each subject's volume is
 read, screened and dropped in turn, so it holds about one volume of working
-memory however long the cohort is.
+memory however long the cohort is. Both read a volume through
+``SubjectRecord.load_volume``, which keeps none on the record: ``train_stage``
+holds its subjects' arrays only while it runs.
 """
 
 from __future__ import annotations
@@ -391,7 +393,7 @@ def predict(
     model = params.frozen()
     records = []
     for rec in cohort:
-        fused = _fused(_prepare_one(rec, rec.fetch_volume(), atlas, table), model)
+        fused = _fused(_prepare_one(rec, rec.load_volume(), atlas, table), model)
         out = head(fused, rec.age, model.branch1, model.branch2, prior)
         decision, p_pd = decide(out.corrected)
         records.append(

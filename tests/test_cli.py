@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from pddiag import cli
 from pddiag.cli import PREDICTION_FIELDS, _config, build_parser, main, read_predictions, write_predictions
-from pddiag.cohort import Cohort, SubjectRecord, write_manifest
+from pddiag.cohort import Cohort, SubjectRecord, read_manifest, write_manifest
 from pddiag.config import SCHEMA, ConfigError, RunConfig, load_config
 from pddiag.diagnoser import Label
 from pddiag.preprocess import ToolConfig
@@ -413,15 +413,31 @@ class TestPreprocessCommand:
         assert "without a path" in err and "s2, s3" in err and "s1" not in err
         assert not cache.exists()
 
+    def test_out_manifest_in_a_subdirectory_lists_loadable_volumes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("synth", "--out", "data", "--n", 3, "--dims", 8, "--seed", 2) == 0
+        Path("run.ini").write_text(
+            "[preprocess]\n"
+            "strip_cmd = cp {input} {output}\n"
+            "bias_cmd = cp {input} {output}\n"
+            "register_cmd = sh -c 'cp \"$0\" \"$1\"' {input} {output} {template}\n"
+            "template = template.nii\n"
+        )
+        Path("out").mkdir()
+        given = ["--config", "run.ini", "--manifest", "data/manifest.csv", "--out-manifest", "out/processed.csv"]
+        assert run_cli("preprocess", *given) == 0
+        processed = read_manifest(tmp_path / "out" / "processed.csv")
+        raw = read_manifest(tmp_path / "data" / "manifest.csv")
+        assert [s.subject_id for s in processed] == [s.subject_id for s in raw]
+        for got, want in zip(processed, raw):
+            assert got.load_volume().data.tobytes() == want.load_volume().data.tobytes()
+
 
 class TestSplitCommand:
     def test_writes_stratified_fold_manifests(self, tmp_path, mini_run):
         out = tmp_path / "folds"
         code = run_cli("split", "--manifest", mini_run["data"] / "manifest.csv", "--folds", 4, "--out-dir", out)
         assert code == 0
-        from pddiag.cohort import read_manifest
-        from pddiag.diagnoser import Label
-
         all_test_ids = []
         for k in range(4):
             train = read_manifest(out / f"fold{k}_train.csv")
@@ -435,8 +451,6 @@ class TestSplitCommand:
     def test_fold_manifests_resolve_volumes(self, tmp_path, mini_run):
         out = tmp_path / "folds2"
         assert run_cli("split", "--manifest", mini_run["data"] / "manifest.csv", "--folds", 2, "--out-dir", out) == 0
-        from pddiag.cohort import read_manifest
-
         cohort = read_manifest(out / "fold0_test.csv")
         cohort[0].load_volume()  # paths stayed valid outside the source tree
 
@@ -471,6 +485,16 @@ class TestConfig:
     def test_default_digest_is_pinned(self):
         # checkpoints record this digest, so the default dump must not drift
         assert RunConfig().digest() == "648d0bdc130b5e2b"
+
+    def test_data_paths_leave_the_digest_alone(self, tmp_path):
+        # the hash names a run's settings, not where its files are
+        path = tmp_path / "run.ini"
+        path.write_text("[data]\ncohort_manifest = /a/m.csv\natlas_path = atlas.nii\nrelevance_csv = r.csv\n")
+        cfg = load_config(path)
+        assert cfg.get("data", "atlas_path") == "atlas.nii"
+        assert cfg.digest() == RunConfig().digest()
+        cfg.set("train", "epochs", "7")
+        assert cfg.digest() != RunConfig().digest()
 
     def test_sections_build_their_dataclasses(self):
         assert (RunConfig().prior(), RunConfig().train_config()) == (AgingPriorParams(), TrainConfig())
@@ -550,6 +574,8 @@ CONFIG_FLAGS = [
     ("synth", "--pd-fraction", "0.25", "synth", "pd_fraction", 0.25),
     ("synth", "--noise-std", "2.5", "synth", "noise_std", 2.5),
     ("synth", "--signal-gain", "0.3", "synth", "signal_gain", 0.3),
+    ("split", "--manifest", "m.csv", "data", "cohort_manifest", "m.csv"),
+    ("preprocess", "--manifest", "m.csv", "data", "cohort_manifest", "m.csv"),
     ("preprocess", "--jobs", "3", "preprocess", "jobs", 3),
     ("preprocess", "--cache-dir", "my cache", "preprocess", "cache_dir", "my cache"),
     ("train", "--stage", "2", "train", "stage", 2),
@@ -559,8 +585,24 @@ CONFIG_FLAGS = [
     ("train", "--weight-decay", "0.01", "train", "weight_decay", 0.01),
     ("train", "--seed", "9", "train", "seed", 9),
     ("train", "--channels", "6", "model", "channels", 6),
+    *(
+        (command, flag, value, "data", key, value)
+        for command in ("train", "predict", "evaluate")
+        for flag, key, value in [
+            ("--manifest", "cohort_manifest", "m.csv"),
+            ("--atlas", "atlas_path", "atlas.nii"),
+            ("--relevance", "relevance_csv", "r.csv"),
+        ]
+    ),
 ]
-REQUIRED_ARGS = {"synth": ["--out", "o"], "preprocess": [], "train": ["--out-dir", "o"]}
+REQUIRED_ARGS = {
+    "synth": ["--out", "o"],
+    "split": ["--out-dir", "o"],
+    "preprocess": [],
+    "train": ["--out-dir", "o"],
+    "predict": ["--checkpoint", "c.ckpt", "--out", "o"],
+    "evaluate": [],
+}
 
 # each command's options as its --help listed them before the config flags came from config.SCHEMA
 HELP_OPTIONS = {
@@ -595,6 +637,34 @@ HELP_OPTIONS = {
         ("--seed", "SEED", ""),
         ("--channels", "CHANNELS", ""),
     ],
+    "split": [
+        ("--config", "CONFIG", ""),
+        ("--manifest", "MANIFEST", ""),
+        ("--folds", "FOLDS", ""),
+        ("--seed", "SEED", ""),
+        ("--out-dir", "OUT_DIR", ""),
+    ],
+    "predict": [
+        ("--config", "CONFIG", ""),
+        ("--checkpoint", "CHECKPOINT", ""),
+        ("--manifest", "MANIFEST", ""),
+        ("--atlas", "ATLAS", ""),
+        ("--relevance", "RELEVANCE", ""),
+        ("--out", "OUT", ""),
+    ],
+    "evaluate": [
+        ("--config", "CONFIG", ""),
+        (
+            "--predictions",
+            "PREDICTIONS",
+            "existing predictions CSV; repeat for per-fold files to get mean and pooled summaries",
+        ),
+        ("--checkpoint", "CHECKPOINT", ""),
+        ("--manifest", "MANIFEST", ""),
+        ("--atlas", "ATLAS", ""),
+        ("--relevance", "RELEVANCE", ""),
+        ("--out", "OUT", "write metrics key-value document"),
+    ],
 }
 
 
@@ -623,6 +693,12 @@ class TestConfigFlags:
         cfg = _config(build_parser().parse_args(["train", "--config", str(path), "--out-dir", "o", "--lr", "0.002"]))
         assert (cfg.get("train", "lr"), cfg.get("train", "epochs")) == (0.002, 4)
 
+    def test_empty_data_flag_overrides_config_file(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("[data]\ncohort_manifest = m.csv\n")
+        assert run_cli("split", "--config", path, "--manifest", "", "--out-dir", tmp_path / "folds") == 1
+        assert "no cohort manifest given" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", HELP_OPTIONS)
     def test_help_lists_the_same_options(self, command, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "200")
@@ -637,3 +713,33 @@ class TestConfigFlags:
             elif line.startswith("      ") and rows:
                 rows[-1] = (*rows[-1][:2], line.strip())
         assert rows == HELP_OPTIONS[command]
+
+
+def test_data_by_flags_or_file_in_any_directory_writes_the_same_model(tmp_path, monkeypatch):
+    """A run's outputs depend on its settings and data, not on where the data lies or what names its paths."""
+    digests = {}
+    for root in (tmp_path / "a", tmp_path / "b"):
+        data = root / "data"
+        assert run_cli("synth", "--out", data, "--n", 12, "--dims", 16, "--seed", 5) == 0
+        flags = [
+            "--manifest", data / "manifest.csv",
+            "--atlas", data / "atlas.nii",
+            "--relevance", data / "relevance.csv",
+        ]  # fmt: skip
+        # the config file names its paths relative to the directory the run starts in
+        (root / "run.ini").write_text(
+            "[data]\n"
+            "cohort_manifest = data/manifest.csv\n"
+            "atlas_path = data/atlas.nii\n"
+            "relevance_csv = data/relevance.csv\n"
+        )
+        monkeypatch.chdir(root)
+        for how, given in [("flags", flags), ("file", ["--config", "run.ini"])]:
+            out = root / how
+            for stage in (1, 2, 3):
+                assert run_cli("train", "--stage", stage, "--out-dir", out, "--epochs", 2, "--seed", 3, *given) == 0
+            assert run_cli("predict", "--checkpoint", out / "stage3.ckpt", "--out", out / "pred.csv", *given) == 0
+            wanted = ["stage1.ckpt", "stage2.ckpt", "stage3.ckpt", "pred.csv"]
+            digests[root.name, how] = [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in wanted]
+    assert len(digests) == 4
+    assert len(set(map(tuple, digests.values()))) == 1, digests

@@ -577,6 +577,13 @@ def manifest_setup(tmp_path_factory):
     return root / "manifest.csv", atlas, table
 
 
+def test_train_stage_keeps_no_manifest_volume(manifest_setup):
+    manifest, atlas, table = manifest_setup
+    cohort = read_manifest(manifest)
+    tr.train_stage(1, cohort, atlas, table, PRIOR, tr.TrainConfig(epochs=1), tr.ModelParams.init(4, seed=1))
+    assert all(rec.volume is None for rec in cohort)
+
+
 class TestStreamingPredict:
     def test_manifest_volumes_are_not_kept(self, manifest_setup):
         manifest, atlas, table = manifest_setup
