@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+from pathlib import Path
 
 
 @contextlib.contextmanager
@@ -11,9 +12,11 @@ def replacing(path):
     """Yield a temporary path beside ``path`` to write; on success move it over ``path``.
 
     The temporary file is ``path`` + ".tmp", in the same directory, so the
-    move is one os.replace. If the write or the move raises, the temporary
-    file is removed and ``path`` is left as it was.
+    move is one os.replace. The directory, and any missing parent of it, is
+    created first. If the write or the move raises, the temporary file is
+    removed and ``path`` is left as it was.
     """
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     tmp = f"{path}.tmp"
     try:
         yield tmp

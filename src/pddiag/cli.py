@@ -24,6 +24,7 @@ from .training import (
     Metrics,
     ModelParams,
     PredictionRecord,
+    evaluate,
     kv_rate,
     load_checkpoint,
     metrics_from_records,
@@ -148,7 +149,6 @@ def cmd_split(args) -> int:
         if s.path:
             s.path = str(Path(s.path).resolve())
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for k, (train_idx, test_idx) in enumerate(split_cohort(cohort, folds=args.folds, seed=args.seed)):
         write_manifest(cohort.subset(train_idx), out / f"fold{k}_train.csv")
         write_manifest(cohort.subset(test_idx), out / f"fold{k}_test.csv")
@@ -198,7 +198,6 @@ def cmd_train(args) -> int:
             raise ValueError(f"{prev} has {params.channels} channels, [model] channels is {channels}")
     else:
         raise ValueError(f"stage must be 1, 2, or 3, got {stage}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     params, trace = train_stage(stage, cohort, atlas, table, cfg.prior(), config, params)
     ckpt = out_dir / f"stage{stage}.ckpt"
     save_checkpoint_atomic(params, None, ckpt, stage=stage, config_hash=cfg.digest())
@@ -210,23 +209,25 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _records_from_model(cfg, checkpoint) -> list[PredictionRecord]:
+def _model_and_data(cfg: RunConfig, checkpoint):
+    """The ``(params, cohort, atlas, table, prior)`` that ``predict`` and ``evaluate`` take; data is read first."""
     cohort, atlas, table = _load_data(cfg)
     params, _, _ = load_checkpoint(checkpoint)
-    return predict(params, cohort, atlas, table, cfg.prior())
+    return params, cohort, atlas, table, cfg.prior()
 
 
 def cmd_predict(args) -> int:
-    cfg = _config(args)
-    records = _records_from_model(cfg, args.checkpoint)
+    records = predict(*_model_and_data(_config(args), args.checkpoint))
     write_predictions(records, args.out)
     print(f"predictions: {args.out}")
     return 0
 
 
-def _fold_summary(folds: list[list[PredictionRecord]]) -> str:
-    """Per-fold metrics plus both aggregation rules: mean of folds and pooled counts."""
+def _metrics_text(folds: list[list[PredictionRecord]]) -> str:
+    """One fold's metrics, or per-fold metrics plus both aggregation rules: mean of folds and pooled counts."""
     per_fold = [metrics_from_records(records) for records in folds]
+    if len(per_fold) == 1:
+        return per_fold[0].to_kv_text()
     lines = []
     for k, m in enumerate(per_fold):
         lines.extend(f"fold{k}.{line}" for line in m.to_kv_text().splitlines())
@@ -245,15 +246,12 @@ def _fold_summary(folds: list[list[PredictionRecord]]) -> str:
 def cmd_evaluate(args) -> int:
     cfg = _config(args)
     if args.predictions:
-        folds = [read_predictions(p) for p in args.predictions]
+        text = _metrics_text([read_predictions(p) for p in args.predictions])
+    elif args.checkpoint:
+        # evaluate() refuses an unlabeled cohort before it reads any subject
+        text = evaluate(*_model_and_data(cfg, args.checkpoint))[0].to_kv_text()
     else:
-        if not args.checkpoint:
-            raise ValueError("evaluate needs --predictions or --checkpoint with cohort data")
-        folds = [_records_from_model(cfg, args.checkpoint)]
-    if len(folds) == 1:
-        text = metrics_from_records(folds[0]).to_kv_text()
-    else:
-        text = _fold_summary(folds)
+        raise ValueError("evaluate needs --predictions or --checkpoint with cohort data")
     sys.stdout.write(text)
     if args.out:
         with replacing(args.out) as tmp, open(tmp, "w") as fh:
@@ -277,11 +275,9 @@ def cmd_report(args) -> int:
     print(f"pd       {metrics.tp:4d}    {metrics.fn:4d}")
     print(f"other    {metrics.fp:4d}    {metrics.tn:4d}")
     if args.out_roc:
-        pts = roc_points([r.p_pd for r in records], [r.label for r in records])
+        rows = roc_points([r.p_pd for r in records], [r.label for r in records])
         with replacing(args.out_roc) as tmp, open(tmp, "w", newline="") as fh:
-            fh.write("fpr,tpr,threshold\n")
-            for fpr, tpr, thr in pts:
-                fh.write(f"{fpr!r},{tpr!r},{thr!r}\n")
+            fh.writelines(["fpr,tpr,threshold\n", *(",".join(map(repr, row)) + "\n" for row in rows)])
         print(f"roc: {args.out_roc}")
     return 0
 

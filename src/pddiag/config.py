@@ -55,7 +55,7 @@ class ConfigError(ValueError):
 def _coerce(section: str, key: str, raw: str):
     default = SCHEMA[section][key]
     try:
-        if isinstance(default, int) and not isinstance(default, bool):
+        if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
             return float(raw)

@@ -90,7 +90,7 @@ def _grid_factors(r: int) -> tuple[int, int, int]:
     return best
 
 
-def make_synth_atlas(dims: tuple[int, int, int], region_count: int = 48) -> SynthAtlas:
+def make_synth_atlas(dims: tuple[int, int, int], region_count: int) -> SynthAtlas:
     """Axis-aligned blocks tiling the volume, one label per block, no background."""
     na, nb, nc = _grid_factors(region_count)
     d, h, w = dims

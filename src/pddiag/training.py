@@ -33,6 +33,7 @@ import json
 import math
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -410,16 +411,14 @@ def predict(
 
 
 def metrics_from_records(records: list[PredictionRecord]) -> Metrics:
-    if any(r.label is None for r in records):
+    counts = Counter((r.label, r.decision) for r in records)
+    if any(label is None for label, _ in counts):
         raise ValueError("records include unlabeled subjects; use `pddiag predict` for label-free data")
-    tp = sum(1 for r in records if r.label is Label.PD and r.decision is Label.PD)
-    fn = sum(1 for r in records if r.label is Label.PD and r.decision is Label.OTHER)
-    fp = sum(1 for r in records if r.label is Label.OTHER and r.decision is Label.PD)
-    tn = sum(1 for r in records if r.label is Label.OTHER and r.decision is Label.OTHER)
+    pd, other = Label.PD, Label.OTHER
     auc = None
-    if tp + fn > 0 and fp + tn > 0:
+    if {pd, other} <= {label for label, _ in counts}:
         auc = roc_auc([r.p_pd for r in records], [r.label for r in records])
-    return Metrics.from_counts(tp, tn, fp, fn, auc=auc)
+    return Metrics.from_counts(counts[pd, pd], counts[other, other], counts[other, pd], counts[pd, other], auc=auc)
 
 
 def evaluate(
@@ -435,48 +434,43 @@ def evaluate(
     return metrics_from_records(records), records
 
 
-def _to_binary_labels(labels) -> np.ndarray:
-    out = []
-    for l in labels:
-        if isinstance(l, Label):
-            out.append(1 if l is Label.PD else 0)
-        else:
-            out.append(int(l))
-    return np.asarray(out)
+_BINARY_LABELS = {Label.PD: 1, Label.OTHER: 0, 1: 1, 0: 0}
 
 
-def roc_points(scores, labels) -> list[tuple[float, float, float]]:
-    """(fpr, tpr, threshold) rows from a descending threshold sweep; a NaN score raises ValueError."""
-    y = _to_binary_labels(labels)
+def _roc_curve(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fpr, tpr and threshold columns of ``roc_points``, one cumulative count per tie group."""
+    y = np.array([_BINARY_LABELS.get(label, -1) for label in labels], dtype=np.int64)
+    if (y < 0).any():
+        raise ValueError(f"labels[{(y < 0).argmax()}] is not a Label or 0/1")
     s = np.asarray(scores, dtype=np.float64)
+    if len(s) != len(y):
+        raise ValueError(f"{len(s)} scores but {len(y)} labels")
     if np.isnan(s).any():
         raise ValueError(f"scores[{np.isnan(s).argmax()}] is NaN")
     n_pos = int(y.sum())
-    n_neg = int(len(y) - n_pos)
+    n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC needs at least one positive and one negative")
     order = np.argsort(-s, kind="stable")
-    s_sorted, y_sorted = s[order], y[order]
-    points = [(0.0, 0.0, math.inf)]
-    tp = fp = 0
-    i = 0
-    while i < len(s_sorted):
-        thr = s_sorted[i]
-        while i < len(s_sorted) and s_sorted[i] == thr:
-            if y_sorted[i]:
-                tp += 1
-            else:
-                fp += 1
-            i += 1
-        points.append((fp / n_neg, tp / n_pos, float(thr)))
-    return points
+    s_sorted = s[order]
+    starts = np.flatnonzero(np.concatenate(([True], s_sorted[1:] != s_sorted[:-1])))  # first of each tie group
+    seen = np.append(starts[1:], len(s))  # subjects scored at or above each group's score
+    tp = np.cumsum(y[order])[seen - 1]
+    return np.r_[0.0, (seen - tp) / n_neg], np.r_[0.0, tp / n_pos], np.r_[math.inf, s_sorted[starts]]
+
+
+def roc_points(scores, labels) -> list[tuple[float, float, float]]:
+    """(fpr, tpr, threshold) rows of a descending threshold sweep: (0, 0, inf), then one row per distinct score.
+
+    A label is a ``Label`` (PD is positive) or 0/1 (1 is positive); a label
+    of any other value, or a NaN score, raises ValueError naming its index.
+    """
+    return list(zip(*(column.tolist() for column in _roc_curve(scores, labels))))
 
 
 def roc_auc(scores, labels) -> float:
-    """Area under the ROC curve via threshold sweep + trapezoidal integration."""
-    pts = roc_points(scores, labels)
-    fpr = np.array([p[0] for p in pts])
-    tpr = np.array([p[1] for p in pts])
+    """Area under the ROC curve: trapezoidal integration of the ``roc_points`` sweep."""
+    fpr, tpr, _ = _roc_curve(scores, labels)
     return float(_trapezoid(tpr, fpr))
 
 

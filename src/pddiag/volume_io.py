@@ -268,15 +268,14 @@ def write_volume(volume: Volume3D, path) -> None:
         fh.write(payload)
 
 
-def read_atlas(path, region_count: int | None = None) -> AtlasVolume:
-    """Load an integer-datatype volume as an atlas; R defaults to the max label."""
+def read_atlas(path, region_count: int) -> AtlasVolume:
+    """Load an integer-datatype volume as an atlas of ``region_count`` regions."""
     with open(path, "rb") as fh:
         header = parse_header(fh.read(HEADER_SIZE))
     if header.datatype_code not in (DTYPE_UINT8, DTYPE_INT16):
         raise UnsupportedDatatype(f"atlas requires an integer datatype, file has code {header.datatype_code}")
     labels = _read_payload(path, header, np.int64)
-    r = int(labels.max()) if region_count is None else int(region_count)
-    return AtlasVolume(labels=labels, region_count=r, voxel_size=header.voxel_size)
+    return AtlasVolume(labels=labels, region_count=int(region_count), voxel_size=header.voxel_size)
 
 
 def write_atlas(atlas: AtlasVolume, path) -> None:

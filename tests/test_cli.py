@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pddiag import cli
+from pddiag import cohort as cohort_module
 from pddiag.cli import PREDICTION_FIELDS, _config, build_parser, main, read_predictions, write_predictions
 from pddiag.cohort import Cohort, SubjectRecord, read_manifest, write_manifest
 from pddiag.config import SCHEMA, ConfigError, RunConfig, load_config
@@ -294,6 +295,20 @@ class TestPredictEvaluateReport:
         assert run_cli("evaluate", "--predictions", fixture) == 1
         assert "predict" in capsys.readouterr().err
 
+    def test_evaluate_checkpoint_refuses_unlabeled_cohort_before_reading(self, tmp_path, mini_run, monkeypatch, capsys):
+        cohort = read_manifest(mini_run["data"] / "manifest.csv")
+        for s in cohort:
+            s.path, s.label = str(Path(s.path).resolve()), None
+        manifest = tmp_path / "unlabeled.csv"
+        write_manifest(cohort.subset(range(6)), manifest)
+        reads = []
+        monkeypatch.setattr(cohort_module, "read_volume", lambda path: reads.append(path))
+        common = [*mini_run["common"][2:], "--manifest", manifest]
+        out = tmp_path / "m.txt"
+        assert run_cli("evaluate", "--checkpoint", mini_run["out"] / "stage3.ckpt", "--out", out, *common) == 1
+        assert "cohort has unlabeled subjects; use predict() instead" in capsys.readouterr().err
+        assert reads == [] and not out.exists()
+
     def test_report_roc_and_confusion(self, mini_run, tmp_path, capsys):
         roc = tmp_path / "roc.csv"
         assert run_cli("report", "--predictions", mini_run["pred"], "--out-roc", roc) == 0
@@ -313,6 +328,95 @@ class TestPredictEvaluateReport:
         assert run_cli("report", "--predictions", fixture, "--out-roc", roc) == 1
         assert "predict" in capsys.readouterr().err
         assert not roc.exists()
+
+
+# predictions with tied scores in both classes; the expected files were written
+# by the threshold sweep that walked each tie group in a Python loop
+TIED_FOLD_A = """subject_id,label,p_pd,delta,predicted_age,decision
+a0,pd,0.9,9.5,74.5,pd
+a1,other,0.9,8.0,73.0,pd
+a2,pd,0.9,7.0,72.0,pd
+a3,pd,0.7,5.0,70.0,pd
+a4,other,0.7,4.0,69.0,pd
+a5,other,0.5,0.0,65.0,other
+a6,pd,0.5,0.5,65.5,other
+a7,other,0.5,-1.0,64.0,other
+a8,other,0.3,-2.0,63.0,other
+a9,pd,0.1,-3.0,62.0,other
+a10,other,0.1,-4.0,61.0,other
+a11,other,0.1,-4.5,60.5,other
+"""
+TIED_FOLD_B = """subject_id,label,p_pd,delta,predicted_age,decision
+b0,other,0.6,1.0,66.0,pd
+b1,pd,0.6,2.0,67.0,pd
+b2,pd,0.6,3.0,68.0,pd
+b3,other,0.4,-1.0,64.0,other
+b4,pd,0.4,0.0,65.0,other
+b5,other,0.2,-2.0,63.0,other
+"""
+TIED_FOLD_A_METRICS = """tp=3
+tn=5
+fp=2
+fn=2
+acc=0.6666666666666666
+tpr=0.6
+fpr=0.2857142857142857
+auc=0.6714285714285715
+"""
+TIED_FOLD_B_METRICS = """tp=2
+tn=2
+fp=1
+fn=1
+acc=0.6666666666666666
+tpr=0.6666666666666666
+fpr=0.3333333333333333
+auc=0.7222222222222222
+"""
+TIED_SUMMARY = """mean.acc=0.6666666666666666
+mean.tpr=0.6333333333333333
+mean.fpr=0.30952380952380953
+mean.auc=0.6968253968253968
+pooled.tp=5
+pooled.tn=7
+pooled.fp=3
+pooled.fn=3
+pooled.acc=0.6666666666666666
+pooled.tpr=0.625
+pooled.fpr=0.3
+pooled.auc=0.675
+"""
+TIED_FOLD_A_ROC = """fpr,tpr,threshold
+0.0,0.0,inf
+0.14285714285714285,0.4,0.9
+0.2857142857142857,0.6,0.7
+0.5714285714285714,0.8,0.5
+0.7142857142857143,0.8,0.3
+1.0,1.0,0.1
+"""
+
+
+class TestScoringGoldenBytes:
+    @pytest.fixture
+    def folds(self, tmp_path):
+        paths = tmp_path / "a.csv", tmp_path / "b.csv"
+        for path, text in zip(paths, (TIED_FOLD_A, TIED_FOLD_B)):
+            path.write_text(text)
+        return paths
+
+    def test_evaluate_one_fold(self, tmp_path, folds):
+        assert run_cli("evaluate", "--predictions", folds[0], "--out", tmp_path / "m.txt") == 0
+        assert (tmp_path / "m.txt").read_bytes() == TIED_FOLD_A_METRICS.encode()
+
+    def test_evaluate_two_folds(self, tmp_path, folds):
+        given = ["--predictions", folds[0], "--predictions", folds[1], "--out", tmp_path / "m.txt"]
+        assert run_cli("evaluate", *given) == 0
+        per_fold = [f"fold{k}.{line}\n" for k, text in enumerate((TIED_FOLD_A_METRICS, TIED_FOLD_B_METRICS))
+                    for line in text.splitlines()]  # fmt: skip
+        assert (tmp_path / "m.txt").read_bytes() == ("".join(per_fold) + TIED_SUMMARY).encode()
+
+    def test_report_roc(self, tmp_path, folds):
+        assert run_cli("report", "--predictions", folds[0], "--out-roc", tmp_path / "roc.csv") == 0
+        assert (tmp_path / "roc.csv").read_bytes() == TIED_FOLD_A_ROC.encode()
 
 
 PREDICTION_HEADER = ",".join(PREDICTION_FIELDS)
@@ -402,6 +506,15 @@ class TestMalformedConfig:
             pass
 
 
+CP_TOOLS = (
+    "[preprocess]\n"
+    "strip_cmd = cp {input} {output}\n"
+    "bias_cmd = cp {input} {output}\n"
+    "register_cmd = sh -c 'cp \"$0\" \"$1\"' {input} {output} {template}\n"
+    "template = template.nii\n"
+)
+
+
 class TestPreprocessCommand:
     def test_rows_without_a_path_fail_before_anything_runs(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.csv"
@@ -416,13 +529,7 @@ class TestPreprocessCommand:
     def test_out_manifest_in_a_subdirectory_lists_loadable_volumes(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run_cli("synth", "--out", "data", "--n", 3, "--dims", 8, "--seed", 2) == 0
-        Path("run.ini").write_text(
-            "[preprocess]\n"
-            "strip_cmd = cp {input} {output}\n"
-            "bias_cmd = cp {input} {output}\n"
-            "register_cmd = sh -c 'cp \"$0\" \"$1\"' {input} {output} {template}\n"
-            "template = template.nii\n"
-        )
+        Path("run.ini").write_text(CP_TOOLS)
         Path("out").mkdir()
         given = ["--config", "run.ini", "--manifest", "data/manifest.csv", "--out-manifest", "out/processed.csv"]
         assert run_cli("preprocess", *given) == 0
@@ -431,6 +538,21 @@ class TestPreprocessCommand:
         assert [s.subject_id for s in processed] == [s.subject_id for s in raw]
         for got, want in zip(processed, raw):
             assert got.load_volume().data.tobytes() == want.load_volume().data.tobytes()
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate", "report", "preprocess"])
+def test_output_into_a_missing_directory_is_written(tmp_path, mini_run, command):
+    target = tmp_path / "missing" / "sub" / "out.csv"
+    (tmp_path / "tools.ini").write_text(CP_TOOLS)
+    given = {
+        "predict": ["--checkpoint", mini_run["out"] / "stage3.ckpt", *mini_run["common"], "--out", target],
+        "evaluate": ["--predictions", mini_run["pred"], "--out", target],
+        "report": ["--predictions", mini_run["pred"], "--out-roc", target],
+        "preprocess": ["--config", tmp_path / "tools.ini", "--manifest", mini_run["data"] / "manifest.csv",
+                       "--cache-dir", tmp_path / "cache", "--out-manifest", target],
+    }[command]  # fmt: skip
+    assert run_cli(command, *given) == 0
+    assert target.is_file() and not Path(f"{target}.tmp").exists()
 
 
 class TestSplitCommand:

@@ -1,7 +1,8 @@
 """Source hygiene: every import in the package and its tests is used, every
 private module-level name of the package is read in the package, every public
 function, class and method of the package is read by the package or the
-benchmark, and a failing property test reports its example.
+benchmark, every ``module.name`` the README names in backticks exists, and a
+failing property test reports its example.
 
 No linter is a dependency, so this walks each module's syntax tree: a name
 an import binds must be read somewhere in that module, as a name, the root
@@ -13,6 +14,8 @@ A public function, class or method must be read the same way somewhere in
 """
 
 import ast
+import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -142,6 +145,25 @@ def test_public_definition_only_tests_read_is_caught():
     bench = {"run.py": "import b\nb.bench_only()\n", "lib.py": "def bench_only():\n    pass\n"}
     assert unread_public_definitions(package, bench) == ["a.py:10: Box.shut", "a.py:4: orphan", "b.py:3: Unused"]
     assert unread_public_definitions({"lib.py": bench["lib.py"]}, {"run.py": bench["run.py"]}) == []
+
+
+def unresolved_readme_names(readme: str) -> list[str]:
+    """Backticked ``module.name`` references in ``readme`` to a ``pddiag`` module that defines no ``name``."""
+    modules = {p.stem for p in SRC}
+    return sorted(
+        f"{module}.{name}"
+        for module, name in re.findall(r"`(\w+)\.(\w+)`", readme)
+        if module in modules and not hasattr(importlib.import_module(f"pddiag.{module}"), name)
+    )
+
+
+def test_readme_names_resolve():
+    assert unresolved_readme_names((ROOT / "README.md").read_text(encoding="utf-8")) == []
+
+
+def test_unresolved_readme_name_is_caught():
+    readme = "`training.evaluate` and `training.no_such_name`, `os.path`, `ToolConfig.template_path`, `pred.csv`\n"
+    assert unresolved_readme_names(readme) == ["training.no_such_name"]
 
 
 FAILING_PROPERTY = """

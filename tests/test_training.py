@@ -208,6 +208,12 @@ class TestRocAuc:
             with pytest.raises(ValueError, match=rf"scores\[{where}\] is NaN"):
                 compute()
 
+    @pytest.mark.parametrize("scores, labels", [([0.9, 0.1], [1, 0, 0]), ([0.9, 0.1, 0.5], [1, 0])])
+    def test_scores_and_labels_of_different_lengths_rejected(self, scores, labels):
+        # an extra label once counted as a negative never reached, and the area read 0.5
+        with pytest.raises(ValueError, match=f"{len(scores)} scores but {len(labels)} labels"):
+            tr.roc_auc(scores, labels)
+
     def test_roc_points_monotone(self):
         rng = np.random.default_rng(2)
         scores = rng.uniform(0, 1, 20)
@@ -220,6 +226,38 @@ class TestRocAuc:
         tprs = [p[1] for p in pts]
         assert fprs == sorted(fprs)
         assert tprs == sorted(tprs)
+
+    # a few shared values force tie groups; "+ 0.0" turns -0.0 into the 0.0 it ties with
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.1, 1 / 3, 0.5, 1.0, math.inf]) | st.floats(-1e3, 1e3).map(lambda x: x + 0.0),
+                st.sampled_from([0, 1, Label.PD, Label.OTHER]),
+            ),
+            min_size=2,
+            max_size=40,
+        ).filter(lambda rows: {y in (1, Label.PD) for _, y in rows} == {True, False}),
+    )
+    def test_roc_points_equal_brute_force_thresholds(self, rows):
+        scores = [s for s, _ in rows]
+        positive = [y in (1, Label.PD) for _, y in rows]
+        n_pos, n_neg = sum(positive), len(rows) - sum(positive)
+        expected = [(0.0, 0.0, math.inf)]
+        for t in sorted(set(scores), reverse=True):
+            tp = sum(1 for s, p in zip(scores, positive) if s >= t and p)
+            fp = sum(1 for s, p in zip(scores, positive) if s >= t and not p)
+            expected.append((fp / n_neg, tp / n_pos, t))
+        got = tr.roc_points(scores, [y for _, y in rows])
+        assert got == expected
+        assert all(type(v) is float for row in got for v in row)
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, "pd", None])
+    def test_label_outside_binary_is_named(self, bad):
+        # a label of 2 once counted twice: the sweep reached fpr 2.0 and the area read 1.0
+        for compute in (tr.roc_points, tr.roc_auc):
+            with pytest.raises(ValueError, match=r"labels\[0\] is not a Label or 0/1"):
+                compute([0.9, 0.1, 0.5], [bad, 0, 1])
 
 
 # numbers at the edges of what int(), math.prod and numpy accept, then any JSON value
