@@ -331,12 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="compute ACC/TPR/FPR/AUC and confusion counts")
     p.add_argument("--config")
-    p.add_argument(
+    # metrics come from prediction files or from a model, never both
+    source = p.add_mutually_exclusive_group()
+    source.add_argument(
         "--predictions",
         action="append",
         help="existing predictions CSV; repeat for per-fold files to get mean and pooled summaries",
     )
-    p.add_argument("--checkpoint")
+    source.add_argument("--checkpoint")
     _data_flags(p)
     p.add_argument("--out", help="write metrics key-value document")
     p.set_defaults(func=cmd_evaluate)

@@ -4,8 +4,10 @@ Stage 1 fits encoder + fusion + classifier with plain cross entropy.
 Stage 2 freezes those and fits the age branch on healthy non-PD subjects,
 taking chronological age as the regression target. Stage 3 fine-tunes
 everything under the combined hinge + corrected-cross-entropy objective.
-``STAGE_PARTS`` names the parts of ``ModelParams`` each stage fits. All loops
-are single-threaded and deterministic for a fixed seed.
+``STAGE_PARTS`` names the parts of ``ModelParams`` each stage fits. Training
+runs in one process and is deterministic for a fixed seed: its per-sample
+steps are too short to pay for a fork, and a worker pool forked during
+training cost ~190k minor page faults per iteration.
 
 The model's structure is declared once, by the fields of ``ModelParams`` and
 of its four part dataclasses: a parameter is named ``part.field`` after the
@@ -20,10 +22,17 @@ Forward passes that need no gradient (stage 2's fixed features and
 ``predict``) run on ``ModelParams.frozen()``, a constant view of the same
 arrays, so they build no autodiff graph and ``conv3d_down`` takes its
 cache-blocked path. ``predict`` streams the cohort: each subject's volume is
-read, screened and dropped in turn, so it holds about one volume of working
-memory however long the cohort is. Both read a volume through
-``SubjectRecord.load_volume``, which keeps none on the record: ``train_stage``
-holds its subjects' arrays only while it runs.
+read, screened and dropped in turn, so a worker holds about one volume of
+working memory however long the cohort is. It splits the cohort into
+contiguous chunks, one per CPU of the affinity mask and at least
+``_MIN_VOXELS_PER_WORKER`` voxels each, and screens chunk 0 here and the
+others in processes forked by ``forkmap.map_chunks``. It forks only on Linux
+and only from a process of one OS thread, so with numpy's OpenBLAS pool on
+several CPUs it needs ``OPENBLAS_NUM_THREADS=1``; otherwise it runs in one
+process, as under ``taskset -c 0``. The records are byte-identical for any
+worker count.
+Both read a volume through ``SubjectRecord.load_volume``, which keeps none on
+the record: ``train_stage`` holds its subjects' arrays only while it runs.
 """
 
 from __future__ import annotations
@@ -53,6 +62,7 @@ from .aggregator import (
 from .atomic import replacing
 from .cohort import Cohort, SubjectRecord
 from .diagnoser import BranchParams, Label, ce_loss_node, classify, decide, head, predict_brain_age, total_loss
+from .forkmap import fork_usable, map_chunks, usable_cpus
 from .priors import AgingPriorParams, RelevanceTable
 from .volume_io import AtlasVolume
 
@@ -181,20 +191,25 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
 
 
 def adamw_step(params: list[Tensor], state: OptimState) -> None:
-    """One decoupled-weight-decay Adam update at the cosine lr of ``state.step``; gradients read from param.grad."""
+    """One decoupled-weight-decay Adam update at the cosine lr of ``state.step``; gradients read from param.grad.
+
+    Every gradient is checked before anything changes: a wrong shape or a
+    NaN or Inf in any of them raises and leaves params and state as they were.
+    """
     if len(params) != len(state.m):
         raise ShapeMismatch(f"optimizer tracks {len(state.m)} params, got {len(params)}")
+    grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+    for p, g in zip(params, grads):
+        if g.shape != p.data.shape:
+            raise ShapeMismatch(f"grad shape {g.shape} != param shape {p.data.shape}")
+        if not np.isfinite(g).all():
+            raise ValueError("non-finite gradient; refusing to step")
     lr = cosine_lr(state.step, state.total_steps, state.base_lr)
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for i, p in enumerate(params):
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise ShapeMismatch(f"grad shape {g.shape} != param shape {p.data.shape}")
-        if not np.isfinite(g).all():
-            raise ValueError("non-finite gradient; refusing to step")
+    for i, (p, g) in enumerate(zip(params, grads)):
         if state.weight_decay:
             p.data *= 1.0 - lr * state.weight_decay
         state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
@@ -376,6 +391,18 @@ def kv_rate(key: str, value: float | None) -> str:
     return f"{key}={'undefined' if value is None else repr(float(value))}"
 
 
+# A screening worker gets at least this many voxels: at ~19 ns a voxel that is
+# ~20 ms of work, against ~2 ms to fork, exit and reap a process.
+_MIN_VOXELS_PER_WORKER = 1 << 20
+
+
+def _screen_workers(subjects: int, voxels_per_subject: int) -> int:
+    """Processes that screen a cohort: one per usable CPU, one subject and ``_MIN_VOXELS_PER_WORKER`` voxels each."""
+    if not fork_usable():
+        return 1
+    return max(1, min(usable_cpus(), subjects, subjects * voxels_per_subject // _MIN_VOXELS_PER_WORKER))
+
+
 def predict(
     params: ModelParams,
     cohort: Cohort,
@@ -388,26 +415,35 @@ def predict(
     Subjects stream one at a time: a volume read from a record's path is
     dropped once the subject is decided, never kept on the record, and the
     forward pass runs on a constant view of ``params``, so it builds no graph.
+    Contiguous chunks of the cohort run in forked workers (see the module
+    docstring); the first failing subject in cohort order raises its error,
+    and a worker that dies without a result raises RuntimeError naming its
+    range of cohort indices and its wait status.
     """
     if len(cohort) == 0:
         raise EmptyCohort("cannot predict on an empty cohort")
     model = params.frozen()
-    records = []
-    for rec in cohort:
-        fused = _fused(_prepare_one(rec, rec.load_volume(), atlas, table), model)
-        out = head(fused, rec.age, model.branch1, model.branch2, prior)
-        decision, p_pd = decide(out.corrected)
-        records.append(
-            PredictionRecord(
-                subject_id=rec.subject_id,
-                label=rec.label,
-                p_pd=p_pd,
-                delta=out.delta,
-                predicted_age=out.predicted_age.item(),
-                decision=decision,
+
+    def screen(subjects: list[SubjectRecord]) -> list[PredictionRecord]:
+        records = []
+        for rec in subjects:
+            fused = _fused(_prepare_one(rec, rec.load_volume(), atlas, table), model)
+            out = head(fused, rec.age, model.branch1, model.branch2, prior)
+            decision, p_pd = decide(out.corrected)
+            records.append(
+                PredictionRecord(
+                    subject_id=rec.subject_id,
+                    label=rec.label,
+                    p_pd=p_pd,
+                    delta=out.delta,
+                    predicted_age=out.predicted_age.item(),
+                    decision=decision,
+                )
             )
-        )
-    return records
+        return records
+
+    subjects = list(cohort)
+    return map_chunks(screen, subjects, _screen_workers(len(subjects), atlas.labels.size))
 
 
 def metrics_from_records(records: list[PredictionRecord]) -> Metrics:

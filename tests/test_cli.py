@@ -287,6 +287,12 @@ class TestPredictEvaluateReport:
         assert code == 0
         assert "acc=" in out.read_text()
 
+    def test_evaluate_takes_predictions_or_checkpoint_not_both(self, mini_run, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("evaluate", "--predictions", mini_run["pred"], "--checkpoint", "/nonexistent.ckpt")
+        assert exit_info.value.code == 2
+        assert "argument --checkpoint: not allowed with argument --predictions" in capsys.readouterr().err
+
     def test_evaluate_unlabeled_suggests_predict(self, tmp_path, capsys):
         fixture = tmp_path / "nolabel.csv"
         fixture.write_text(

@@ -1,9 +1,12 @@
 import contextlib
 import json
 import math
+import os
+import signal
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +20,10 @@ from pddiag.aggregator import encode_dense, region_average_pool, upsample_fuse, 
 from pddiag.cli import main as cli_main
 from pddiag.cohort import Cohort, SubjectRecord, read_manifest
 from pddiag.diagnoser import Label, ce_loss_node, classify, decide, predict_brain_age, total_loss
+from pddiag.forkmap import fork_usable, usable_cpus
 from pddiag.priors import AgingPriorParams, load_relevance_table
 from pddiag.synth import SynthConfig, generate_cohort
-from pddiag.volume_io import Volume3D, read_atlas
+from pddiag.volume_io import NiftiFormatError, TruncatedData, TruncatedHeader, Volume3D, read_atlas
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +108,21 @@ class TestAdamW:
         p.grad = np.asarray(np.nan)
         with pytest.raises(ValueError, match="non-finite"):
             tr.adamw_step([p], state)
+
+    @pytest.mark.parametrize("bad", ["nan", "shape"])
+    def test_refusal_leaves_params_and_state_unchanged(self, bad):
+        params = tr.ModelParams.init(4, 0).params()
+        state = tr.OptimState.init(params, base_lr=0.1, weight_decay=0.01, total_steps=10)
+        for p in params:
+            p.grad = np.ones_like(p.data)
+        tr.adamw_step(params, state)  # m and v become nonzero
+        params[-1].grad = np.full_like(params[-1].data, np.nan) if bad == "nan" else np.ones(7)
+        before = ([p.data.copy() for p in params], [m.copy() for m in state.m], [v.copy() for v in state.v])
+        with pytest.raises(tr.ShapeMismatch if bad == "shape" else ValueError):
+            tr.adamw_step(params, state)
+        assert state.step == 1
+        for now, then in zip(([p.data for p in params], state.m, state.v), before):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(now, then))
 
     def test_schedule_used_when_lr_omitted(self):
         p = ad.parameter(np.array(1.0))
@@ -675,6 +694,134 @@ class TestStreamingPredict:
         orphan = Cohort([SubjectRecord("s0", 60.0, Label.PD)])
         with pytest.raises(ValueError, match="no volume and no path"):
             tr.predict(tr.ModelParams.init(4, seed=0), orphan, sa.atlas, sa.table, PRIOR)
+
+
+class TwoArgumentError(Exception):
+    """An exception whose pickle cannot be loaded: its args hold one string, its __init__ takes two."""
+
+    def __init__(self, subject_id, reason):
+        super().__init__(f"{subject_id} {reason}")
+
+
+def _record_bits(records) -> list[tuple]:
+    """Every field of each record, floats as ``float.hex``, so equality is bitwise."""
+    return [
+        (r.subject_id, r.label, r.p_pd.hex(), r.delta.hex(), r.predicted_age.hex(), r.decision) for r in records
+    ]
+
+
+@pytest.fixture
+def split_into(monkeypatch):
+    """``split_into(k)`` makes ``predict`` screen any cohort of k or more subjects in k processes.
+
+    The test process may hold OpenBLAS's default thread pool, which
+    ``fork_usable`` refuses; its fork handler stops the pool before each fork,
+    so the split runs here as it would in a process of one thread.
+    """
+
+    def split(k: int) -> None:
+        monkeypatch.setattr(tr, "_MIN_VOXELS_PER_WORKER", 1)
+        monkeypatch.setattr(tr, "usable_cpus", lambda: k)
+        monkeypatch.setattr(tr, "fork_usable", lambda: True)
+
+    return split
+
+
+class TestForkedPredict:
+    """``predict`` over k contiguous chunks, chunk 0 here and the rest in forked children."""
+
+    def test_default_split(self):
+        assert tr._screen_workers(32, 64**3) == (min(usable_cpus(), 8) if fork_usable() else 1)
+        assert tr._screen_workers(40, 32**3) == 1  # train32's evaluate stays in one process
+        assert tr._screen_workers(1, 64**4) == 1
+
+    @pytest.mark.parametrize("source", ["memory", "files"])
+    def test_records_are_bitwise_equal_for_1_2_and_3_workers(self, source, tiny_setup, manifest_setup, split_into):
+        if source == "memory":
+            cohort, sa = tiny_setup
+            atlas, table = sa.atlas, sa.table
+        else:
+            manifest, atlas, table = manifest_setup
+            cohort = read_manifest(manifest)
+        params = tr.ModelParams.init(4, seed=1)
+        runs = {}
+        for k in (1, 2, 3):
+            split_into(k)
+            assert tr._screen_workers(len(cohort), atlas.labels.size) == k
+            runs[k] = _record_bits(tr.predict(params, cohort, atlas, table, PRIOR))
+        assert runs[1] == runs[2] == runs[3]
+        assert [r[0] for r in runs[1]] == [s.subject_id for s in cohort]
+
+    @pytest.mark.parametrize("first, second", [("data", "header"), ("header", "data")])
+    def test_first_failure_in_cohort_order(self, first, second, manifest_setup, tmp_path, split_into):
+        manifest, atlas, table = manifest_setup
+        cohort = read_manifest(manifest)
+        lengths = {"header": 100, "data": 1000}  # TruncatedHeader, TruncatedData
+        for index, kind in ((3, first), (5, second)):  # chunks 1 and 2 of [0, 1] [2, 3] [4, 5]
+            rec = cohort[index]
+            cut = Path(rec.path).read_bytes()[: lengths[kind]]
+            rec.path = str(tmp_path / f"{rec.subject_id}.nii")
+            Path(rec.path).write_bytes(cut)
+        params = tr.ModelParams.init(4, seed=1)
+        with pytest.raises(NiftiFormatError) as serial:
+            tr.predict(params, cohort, atlas, table, PRIOR)
+        split_into(3)
+        with pytest.raises(NiftiFormatError) as forked:
+            tr.predict(params, cohort, atlas, table, PRIOR)
+        assert type(forked.value) is type(serial.value) is {"header": TruncatedHeader, "data": TruncatedData}[first]
+        assert str(forked.value) == str(serial.value)
+        assert type(serial.value).__name__ in str(forked.value.__cause__)  # the child's traceback
+
+    def test_killed_worker_names_its_subjects_and_status(self, manifest_setup, monkeypatch, split_into):
+        manifest, atlas, table = manifest_setup
+        cohort = read_manifest(manifest)
+        real = tr._prepare_one
+
+        def prepare(rec, *args):
+            if rec.subject_id == cohort[4].subject_id:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(rec, *args)
+
+        monkeypatch.setattr(tr, "_prepare_one", prepare)
+        split_into(3)
+        with pytest.raises(RuntimeError, match=r"worker for items 4\.\.5 ended without a result \(wait status 9, "):
+            tr.predict(tr.ModelParams.init(4, seed=1), cohort, atlas, table, PRIOR)
+
+    def test_exception_pickle_cannot_rebuild_arrives_as_runtime_error(self, manifest_setup, monkeypatch, split_into):
+        manifest, atlas, table = manifest_setup
+        cohort = read_manifest(manifest)
+        parent, real = os.getpid(), tr._prepare_one
+
+        def prepare(rec, *args):
+            if os.getpid() != parent:
+                raise TwoArgumentError(rec.subject_id, "unreadable")
+            return real(rec, *args)
+
+        monkeypatch.setattr(tr, "_prepare_one", prepare)
+        split_into(2)
+        with pytest.raises(RuntimeError, match=f"^TwoArgumentError: {cohort[3].subject_id} unreadable$"):
+            tr.predict(tr.ModelParams.init(4, seed=1), cohort, atlas, table, PRIOR)
+
+    @pytest.mark.parametrize("outcome", ["success", "error", "interrupt"])
+    def test_every_child_is_reaped(self, outcome, manifest_setup, monkeypatch, split_into):
+        manifest, atlas, table = manifest_setup
+        cohort = read_manifest(manifest)
+        parent, real = os.getpid(), tr._prepare_one
+
+        def prepare(rec, *args):
+            if outcome == "error" and rec.subject_id == cohort[2].subject_id:
+                raise ValueError("bad subject")
+            if outcome == "interrupt" and os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(rec, *args)
+
+        monkeypatch.setattr(tr, "_prepare_one", prepare)
+        split_into(3)
+        expected = {"success": contextlib.nullcontext(), "error": pytest.raises(ValueError, match="bad subject")}
+        with expected.get(outcome, pytest.raises(KeyboardInterrupt)):
+            tr.predict(tr.ModelParams.init(4, seed=1), cohort, atlas, table, PRIOR)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
