@@ -36,10 +36,6 @@ class Tensor:
         self._parents = parents if self.requires_grad else ()
         self._backward = backward if self.requires_grad else None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def item(self) -> float:
         return float(self.data)
 

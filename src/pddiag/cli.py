@@ -21,9 +21,11 @@ from .preprocess import run_pipeline
 from .priors import default_relevance_table, load_relevance_table, save_relevance_table
 from .synth import iter_subjects, make_synth_atlas, split_cohort
 from .training import (
+    STAGE_PARTS,
     Metrics,
     ModelParams,
     PredictionRecord,
+    check_stage,
     evaluate,
     kv_rate,
     load_checkpoint,
@@ -180,12 +182,13 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     cfg = _config(args)
     config = cfg.train_config()  # rejects bad settings before anything is written
-    cohort, atlas, table = _load_data(cfg)
     stage = int(cfg.get("train", "stage"))
+    check_stage(stage)
+    cohort, atlas, table = _load_data(cfg)
     out_dir = Path(args.out_dir)
     if stage == 1:
         params = ModelParams.init(int(cfg.get("model", "channels")), seed=int(cfg.get("train", "seed")))
-    elif stage in (2, 3):
+    else:
         prev = out_dir / f"stage{stage - 1}.ckpt"
         if not prev.exists():
             raise FileNotFoundError(f"stage {stage} requires the stage {stage - 1} checkpoint at {prev}; train it first")
@@ -196,8 +199,6 @@ def cmd_train(args) -> int:
         channels = int(cfg.get("model", "channels"))
         if params.channels != channels:
             raise ValueError(f"{prev} has {params.channels} channels, [model] channels is {channels}")
-    else:
-        raise ValueError(f"stage must be 1, 2, or 3, got {stage}")
     params, trace = train_stage(stage, cohort, atlas, table, cfg.prior(), config, params)
     ckpt = out_dir / f"stage{stage}.ckpt"
     save_checkpoint_atomic(params, None, ckpt, stage=stage, config_hash=cfg.digest())
@@ -262,6 +263,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_report(args) -> int:
     cfg = _config(args)
+    if args.out_roc and not args.predictions:
+        raise ValueError("report --out-roc needs --predictions")
     if args.dump_config:
         sys.stdout.write(cfg.dump())
         if not args.predictions:
@@ -285,9 +288,10 @@ def cmd_report(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pddiag", description="Prior-guided volumetric PD screening pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)  # --config, the first option of every command
+    config.add_argument("--config")
 
-    p = sub.add_parser("synth", help="generate a synthetic cohort, atlas, and manifest")
-    p.add_argument("--config")
+    p = sub.add_parser("synth", parents=[config], help="generate a synthetic cohort, atlas, and manifest")
     p.add_argument("--out", required=True, help="output directory")
     _config_flag(p, "synth", "n_subjects", flag="n", help="number of subjects")
     _config_flag(p, "synth", "seed")
@@ -296,25 +300,24 @@ def build_parser() -> argparse.ArgumentParser:
         _config_flag(p, "synth", key)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("split", help="write stratified k-fold train/test manifests")
-    p.add_argument("--config")
+    p = sub.add_parser("split", parents=[config], help="write stratified k-fold train/test manifests")
     _config_flag(p, "data", "cohort_manifest", flag="manifest")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("preprocess", help="run skull strip, bias correction, registration with caching")
-    p.add_argument("--config")
+    p = sub.add_parser(
+        "preprocess", parents=[config], help="run skull strip, bias correction, registration with caching"
+    )
     _config_flag(p, "data", "cohort_manifest", flag="manifest", help="cohort manifest of raw scans")
     p.add_argument("--out-manifest", dest="out_manifest", help="write manifest of processed scans")
     for key in ("jobs", "cache_dir"):
         _config_flag(p, "preprocess", key)
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("train", help="run one training stage")
-    p.add_argument("--config")
-    _config_flag(p, "train", "stage", choices=(1, 2, 3), metavar=None)
+    p = sub.add_parser("train", parents=[config], help="run one training stage")
+    _config_flag(p, "train", "stage", choices=tuple(STAGE_PARTS), metavar=None)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     _data_flags(p)
     for key in ("epochs", "batch", "lr", "weight_decay", "seed"):
@@ -322,15 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     _config_flag(p, "model", "channels")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="write per-subject predictions CSV")
-    p.add_argument("--config")
+    p = sub.add_parser("predict", parents=[config], help="write per-subject predictions CSV")
     p.add_argument("--checkpoint", required=True)
     _data_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", help="compute ACC/TPR/FPR/AUC and confusion counts")
-    p.add_argument("--config")
+    p = sub.add_parser("evaluate", parents=[config], help="compute ACC/TPR/FPR/AUC and confusion counts")
     # metrics come from prediction files or from a model, never both
     source = p.add_mutually_exclusive_group()
     source.add_argument(
@@ -343,8 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write metrics key-value document")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("report", help="confusion matrix, ROC point list, config dump")
-    p.add_argument("--config")
+    p = sub.add_parser("report", parents=[config], help="confusion matrix, ROC point list, config dump")
     p.add_argument("--predictions")
     p.add_argument("--out-roc", dest="out_roc")
     p.add_argument("--dump-config", dest="dump_config", action="store_true")

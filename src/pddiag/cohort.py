@@ -1,9 +1,13 @@
-"""Subject records, cohorts, and the cohort manifest CSV; a record read from a manifest holds a path, not a volume."""
+"""Subject records, cohorts, and the cohort manifest CSV; a record read from a manifest holds a path, not a volume.
+
+A ``Cohort`` is a list of ``SubjectRecord``s that can say whether every
+subject is labeled and take a subset by index.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .csvtable import read_rows, write_rows
@@ -35,24 +39,12 @@ class SubjectRecord:
         return read_volume(self.path)
 
 
-@dataclass
-class Cohort:
-    subjects: list[SubjectRecord] = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.subjects)
-
-    def __iter__(self):
-        return iter(self.subjects)
-
-    def __getitem__(self, i):
-        return self.subjects[i]
-
+class Cohort(list):
     def labeled(self) -> bool:
-        return all(s.label is not None for s in self.subjects)
+        return all(s.label is not None for s in self)
 
     def subset(self, indices) -> "Cohort":
-        return Cohort(subjects=[self.subjects[i] for i in indices])
+        return Cohort(self[i] for i in indices)
 
 
 MANIFEST_FIELDS = ["subject_id", "path", "age", "label", "is_healthy"]
@@ -89,4 +81,4 @@ def read_manifest(path) -> Cohort:
             path=vol_path,
         )
 
-    return Cohort(subjects=read_rows(path, MANIFEST_FIELDS, parse))
+    return Cohort(read_rows(path, MANIFEST_FIELDS, parse))

@@ -15,10 +15,11 @@ included, it kills the children left and waits for them before it re-raises.
 Fork copies only the calling thread, so a child of a process with another
 thread running could inherit a lock that thread held, and each worker would
 start its own copy of any thread pool. ``fork_usable()`` is therefore True
-only on Linux in a process of one OS thread, on every Python version. On a
-machine of several CPUs numpy's OpenBLAS starts a thread pool at import
-unless ``OPENBLAS_NUM_THREADS=1``, so with its default pool the caller stays
-in one process.
+only on Linux in a process of one OS thread, on every Python version, and
+where it is False ``map_chunks`` runs ``fn`` on all the items in the calling
+process. On a machine of several CPUs numpy's OpenBLAS starts a thread pool
+at import unless ``OPENBLAS_NUM_THREADS=1``, so with its default pool the
+caller stays in one process.
 
 ``concurrent.futures.ProcessPoolExecutor`` with a fork context is not used:
 it pickles each call's function and arguments even under fork (so a closure
@@ -128,11 +129,12 @@ class _Child:
 def map_chunks(fn: Callable[[list], list], items: list, workers: int) -> list:
     """``fn`` over ``workers`` contiguous chunks of ``items``, joined in order; chunk 0 runs in this process.
 
-    ``fn`` takes a list and returns a list. A child that ends without a
-    result raises RuntimeError naming its range of item indices and its wait
-    status.
+    ``fn`` takes a list and returns a list. Where ``fork_usable()`` is False
+    it runs once, on all of ``items``, in this process. A child that ends
+    without a result raises RuntimeError naming its range of item indices
+    and its wait status.
     """
-    if workers == 1:
+    if workers == 1 or not fork_usable():
         return list(fn(items))
     bounds = [len(items) * i // workers for i in range(workers + 1)]
     children: list[_Child] = []

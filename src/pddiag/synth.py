@@ -162,7 +162,7 @@ def iter_subjects(cfg: SynthConfig, synth_atlas: SynthAtlas) -> Iterator[Subject
 def generate_cohort(cfg: SynthConfig) -> tuple[Cohort, SynthAtlas]:
     """The whole cohort in memory, as ``iter_subjects`` yields it, and its atlas."""
     synth_atlas = make_synth_atlas(cfg.dims, cfg.region_count)
-    return Cohort(subjects=list(iter_subjects(cfg, synth_atlas))), synth_atlas
+    return Cohort(iter_subjects(cfg, synth_atlas)), synth_atlas
 
 
 def split_cohort(cohort: Cohort, folds: int, seed: int) -> list[tuple[list[int], list[int]]]:

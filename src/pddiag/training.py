@@ -26,11 +26,11 @@ read, screened and dropped in turn, so a worker holds about one volume of
 working memory however long the cohort is. It splits the cohort into
 contiguous chunks, one per CPU of the affinity mask and at least
 ``_MIN_VOXELS_PER_WORKER`` voxels each, and screens chunk 0 here and the
-others in processes forked by ``forkmap.map_chunks``. It forks only on Linux
-and only from a process of one OS thread, so with numpy's OpenBLAS pool on
-several CPUs it needs ``OPENBLAS_NUM_THREADS=1``; otherwise it runs in one
-process, as under ``taskset -c 0``. The records are byte-identical for any
-worker count.
+others in processes forked by ``forkmap.map_chunks``, which forks only on
+Linux and only from a process of one OS thread (``forkmap.fork_usable``), so
+with numpy's OpenBLAS pool on several CPUs screening needs
+``OPENBLAS_NUM_THREADS=1``; otherwise it runs in one process, as under
+``taskset -c 0``. The records are byte-identical for any worker count.
 Both read a volume through ``SubjectRecord.load_volume``, which keeps none on
 the record: ``train_stage`` holds its subjects' arrays only while it runs.
 """
@@ -62,16 +62,13 @@ from .aggregator import (
 from .atomic import replacing
 from .cohort import Cohort, SubjectRecord
 from .diagnoser import BranchParams, Label, ce_loss_node, classify, decide, head, predict_brain_age, total_loss
-from .forkmap import fork_usable, map_chunks, usable_cpus
+from .forkmap import map_chunks, usable_cpus
 from .priors import AgingPriorParams, RelevanceTable
 from .volume_io import AtlasVolume
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-# numpy 2 renamed trapz
-_trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
 
 # Age-head bias starts at a typical screening-cohort age so the regression
 # only has to learn the residual trend, not the absolute offset.
@@ -158,6 +155,13 @@ STAGE_PARTS = {
     2: ("branch2",),
     3: tuple(f.name for f in dataclasses.fields(ModelParams)),
 }
+
+
+def check_stage(stage: int) -> None:
+    """Raise InvalidStage unless ``stage`` is a key of ``STAGE_PARTS``."""
+    if stage not in STAGE_PARTS:
+        *first, last = STAGE_PARTS
+        raise InvalidStage(f"stage must be {', '.join(map(str, first))}, or {last}, got {stage}")
 
 
 @dataclass
@@ -276,8 +280,7 @@ def train_stage(
     params: ModelParams,
 ) -> tuple[ModelParams, list[EpochTrace]]:
     """Run one training stage in place; returns the params and a loss trace."""
-    if stage not in (1, 2, 3):
-        raise InvalidStage(f"stage must be 1, 2, or 3, got {stage}")
+    check_stage(stage)
     if len(cohort) == 0:
         raise EmptyCohort("cannot train on an empty cohort")
     if not cohort.labeled():
@@ -398,8 +401,6 @@ _MIN_VOXELS_PER_WORKER = 1 << 20
 
 def _screen_workers(subjects: int, voxels_per_subject: int) -> int:
     """Processes that screen a cohort: one per usable CPU, one subject and ``_MIN_VOXELS_PER_WORKER`` voxels each."""
-    if not fork_usable():
-        return 1
     return max(1, min(usable_cpus(), subjects, subjects * voxels_per_subject // _MIN_VOXELS_PER_WORKER))
 
 
@@ -507,7 +508,7 @@ def roc_points(scores, labels) -> list[tuple[float, float, float]]:
 def roc_auc(scores, labels) -> float:
     """Area under the ROC curve: trapezoidal integration of the ``roc_points`` sweep."""
     fpr, tpr, _ = _roc_curve(scores, labels)
-    return float(_trapezoid(tpr, fpr))
+    return float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
 
 
 def save_checkpoint(

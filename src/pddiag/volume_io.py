@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,10 +102,6 @@ class Volume3D:
         if not (np.isfinite(self.data.min()) and np.isfinite(self.data.max())):
             raise NonFiniteData("volume contains NaN or Inf")
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.header.dims
-
     @classmethod
     def from_array(cls, data: np.ndarray, voxel_size=(1.0, 1.0, 1.0), datatype_code=DTYPE_FLOAT32) -> "Volume3D":
         data = np.asarray(data, dtype=np.float64)
@@ -118,7 +114,7 @@ class Volume3D:
 @dataclass
 class AtlasVolume:
     labels: np.ndarray  # (D, H, W) integer labels in [0, region_count]
-    region_count: int = 48
+    region_count: int
     voxel_size: tuple[float, float, float] = field(default=(1.0, 1.0, 1.0))
     # (R,) voxels in each of regions 1..R, read-only; set from labels
     region_sizes: np.ndarray = field(init=False, repr=False, compare=False)
@@ -180,7 +176,7 @@ def parse_header(buf: bytes) -> VolumeHeader:
 
 
 def _build_header_bytes(header: VolumeHeader) -> bytes:
-    dtype_char, bitpix = SUPPORTED_DATATYPES[header.datatype_code]
+    _, bitpix = SUPPORTED_DATATYPES[header.datatype_code]
     buf = bytearray(HEADER_SIZE)
     struct.pack_into("<i", buf, 0, HEADER_SIZE)
     d, h, w = header.dims
@@ -199,42 +195,40 @@ def _build_header_bytes(header: VolumeHeader) -> bytes:
 _CHUNK_BYTES = 1 << 17
 
 
-def _read_payload(path, header: VolumeHeader, out_dtype) -> np.ndarray:
-    """Read the payload the header declares into a fresh (D, H, W) array of out_dtype.
+def _read_payload(fh, path, header: VolumeHeader, out_dtype) -> np.ndarray:
+    """Read the payload the header declares from the open file ``fh`` into a fresh (D, H, W) array of out_dtype.
 
     The size check comes before the read, so a header that declares more
     voxels than memory can hold fails as TruncatedData, not MemoryError.
     The payload is read in chunks of _CHUNK_BYTES, each converted into the
-    output at once.
+    output at once. ``path`` names the file in errors.
     """
     dtype_char, _ = SUPPORTED_DATATYPES[header.datatype_code]
     d, h, w = header.dims
     dt = np.dtype(("<" if header.endianness == "little" else ">") + dtype_char)
     count = d * h * w
     need = count * dt.itemsize
-    with open(path, "rb") as fh:
-        have = os.fstat(fh.fileno()).st_size - header.vox_offset
-        if have < need:
-            raise TruncatedData(f"{path}: payload has {max(have, 0)} bytes, need {need}")
-        fh.seek(header.vox_offset)
-        out = np.empty(count, dtype=out_dtype)
-        chunk = bytearray(min(need, _CHUNK_BYTES))
-        step = len(chunk) // dt.itemsize
-        for i in range(0, count, step):
-            n = min(step, count - i)
-            got = fh.readinto(memoryview(chunk)[: n * dt.itemsize])
-            if got < n * dt.itemsize:
-                raise TruncatedData(f"{path}: payload has {i * dt.itemsize + got} bytes, need {need}")
-            out[i : i + n] = np.frombuffer(chunk, dtype=dt, count=n)
+    have = os.fstat(fh.fileno()).st_size - header.vox_offset
+    if have < need:
+        raise TruncatedData(f"{path}: payload has {max(have, 0)} bytes, need {need}")
+    fh.seek(header.vox_offset)
+    out = np.empty(count, dtype=out_dtype)
+    chunk = bytearray(min(need, _CHUNK_BYTES))
+    step = len(chunk) // dt.itemsize
+    for i in range(0, count, step):
+        n = min(step, count - i)
+        got = fh.readinto(memoryview(chunk)[: n * dt.itemsize])
+        if got < n * dt.itemsize:
+            raise TruncatedData(f"{path}: payload has {i * dt.itemsize + got} bytes, need {need}")
+        out[i : i + n] = np.frombuffer(chunk, dtype=dt, count=n)
     return out.reshape(d, h, w)
 
 
 def read_volume(path) -> Volume3D:
     """Load a volume; integer payloads convert exactly, float32 widens to float64."""
     with open(path, "rb") as fh:
-        header_bytes = fh.read(HEADER_SIZE)
-    header = parse_header(header_bytes)
-    data = _read_payload(path, header, np.float64)
+        header = parse_header(fh.read(HEADER_SIZE))
+        data = _read_payload(fh, path, header, np.float64)
     try:
         return Volume3D(header=header, data=data)
     except NonFiniteData as exc:
@@ -246,7 +240,7 @@ def write_volume(volume: Volume3D, path) -> None:
 
     NaN, Inf and values the datatype cannot hold are refused before the file is opened.
     """
-    header = replace(volume.header, endianness="little")
+    header = volume.header
     code = header.datatype_code
     dtype_char, _ = SUPPORTED_DATATYPES[code]
     data = volume.data
@@ -272,9 +266,9 @@ def read_atlas(path, region_count: int) -> AtlasVolume:
     """Load an integer-datatype volume as an atlas of ``region_count`` regions."""
     with open(path, "rb") as fh:
         header = parse_header(fh.read(HEADER_SIZE))
-    if header.datatype_code not in (DTYPE_UINT8, DTYPE_INT16):
-        raise UnsupportedDatatype(f"atlas requires an integer datatype, file has code {header.datatype_code}")
-    labels = _read_payload(path, header, np.int64)
+        if header.datatype_code not in (DTYPE_UINT8, DTYPE_INT16):
+            raise UnsupportedDatatype(f"atlas requires an integer datatype, file has code {header.datatype_code}")
+        labels = _read_payload(fh, path, header, np.int64)
     return AtlasVolume(labels=labels, region_count=int(region_count), voxel_size=header.voxel_size)
 
 

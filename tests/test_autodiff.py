@@ -96,9 +96,9 @@ class TestConv:
     def test_input_gradient_equals_tap_loop(self, shape):
         (_, w, _), tensors = conv_inputs(shape, GRAD_FLAGS["x-grad"])
         out = ad.conv3d_down(*tensors)
-        g = np.random.default_rng(1).standard_normal(out.shape)
+        g = np.random.default_rng(1).standard_normal(out.data.shape)
         gx, _, _ = out._backward(g)
-        cout, do, ho, wo = out.shape
+        cout, do, ho, wo = out.data.shape
         gcols = (w.reshape(cout, -1).T @ g.reshape(cout, -1)).reshape(shape[0], 27, do, ho, wo)
         np.testing.assert_array_equal(gx, col2im_loop(gcols, shape))
 
@@ -142,7 +142,7 @@ class TestConv:
     def test_conv_relu_with_grad_equals_relu_of_conv(self, shape):
         (x, w, b), _ = conv_inputs(shape, GRAD_FLAGS["no-grad"])
         w[0], b[0] = 0.0, 0.0  # output channel 0 has exact-zero pre-activations
-        coeff = np.random.default_rng(2).standard_normal(ad.conv3d_down(*map(ad.constant, (x, w, b))).shape)
+        coeff = np.random.default_rng(2).standard_normal(ad.conv3d_down(*map(ad.constant, (x, w, b))).data.shape)
         results = []
         for by_hand in (False, True):
             tensors = [ad.parameter(a) for a in (x, w, b)]
@@ -172,7 +172,7 @@ class TestConv:
 
         def loss(tensors, seed):
             out = ad.conv_relu(*tensors)
-            coeff = np.random.default_rng(seed + 10).standard_normal(out.shape)
+            coeff = np.random.default_rng(seed + 10).standard_normal(out.data.shape)
             return tdot(out, coeff)
 
         joint = [leaves(0), leaves(1)]
@@ -276,7 +276,7 @@ class TestLayerNodes:
             lift = w[:, 0] * agg.mean + w[:, 1] * agg.std + b
             np.testing.assert_allclose(out.data, x.data + lift[:, None, None, None], rtol=1e-12)
             # on a zero dense tensor each channel holds its one lifted value at every voxel
-            lifted = upsample_fuse(agg, ad.constant(np.zeros(x.shape)), fusion).data
+            lifted = upsample_fuse(agg, ad.constant(np.zeros(x.data.shape)), fusion).data
             assert (lifted == lifted[:, :1, :1, :1]).all()
             np.testing.assert_allclose(lifted[:, 0, 0, 0], lift, rtol=1e-12)
 
@@ -294,7 +294,7 @@ class TestLayerNodes:
     @pytest.mark.parametrize("channels", LAYER_CHANNELS)
     def test_upsample_fuse_gradients(self, channels):
         x, agg, fusion, _ = layer_inputs(channels, seed=1)
-        coeff = np.random.default_rng(2).standard_normal(x.shape)
+        coeff = np.random.default_rng(2).standard_normal(x.data.shape)
 
         def loss():
             return tdot(upsample_fuse(agg, x, fusion), coeff)
@@ -327,7 +327,7 @@ class TestLayerNodes:
         coeff_rng = np.random.default_rng(9)
         for node, composed, parts in cases:
             params = [x] + param_tensors(*parts)
-            coeff = coeff_rng.standard_normal(node().shape)
+            coeff = coeff_rng.standard_normal(node().data.shape)
             runs = []
             for build in (node, composed):
                 ad.zero_grads(params)

@@ -225,6 +225,14 @@ class TestTrainCommand:
         assert f"error: {setting} must" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_stage_outside_the_stage_set_is_refused(self, tmp_path, mini_run, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("[train]\nstage = 4\n")
+        out = tmp_path / "four"
+        assert run_cli("train", "--config", path, "--out-dir", out, "--epochs", 1, *mini_run["common"]) == 1
+        assert capsys.readouterr().err == "error: stage must be 1, 2, or 3, got 4\n"
+        assert not out.exists()
+
     def test_three_checkpoints_written(self, mini_run):
         for stage in (1, 2, 3):
             assert (mini_run["out"] / f"stage{stage}.ckpt").exists()
@@ -324,6 +332,14 @@ class TestPredictEvaluateReport:
         last = lines[-1].split(",")
         assert float(last[0]) == 1.0 and float(last[1]) == 1.0
         assert "confusion matrix" in capsys.readouterr().out
+
+    def test_report_out_roc_needs_predictions(self, tmp_path, capsys):
+        roc = tmp_path / "roc.csv"
+        assert run_cli("report", "--dump-config", "--out-roc", roc) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--out-roc" in err and "--predictions" in err
+        assert not roc.exists()
 
     def test_report_unlabeled_writes_no_roc(self, tmp_path, capsys):
         fixture = tmp_path / "nolabel.csv"

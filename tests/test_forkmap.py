@@ -14,17 +14,25 @@ SRC = str(Path(forkmap.__file__).parents[1])
 
 pytestmark = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forkmap forks only on Linux")
 
+# Each chunk reports the pid it ran in: three pids, then, with a second
+# thread alive, the caller's pid alone.
 THREAD_RULE = textwrap.dedent(
     """
-    import threading
-    from pddiag import forkmap, training
-    training._MIN_VOXELS_PER_WORKER = 1
-    training.usable_cpus = lambda: 3
-    print(forkmap.fork_usable(), training._screen_workers(6, 8))
+    import os, threading
+    from pddiag import forkmap
+
+    def pids(chunk):
+        return [os.getpid() for _ in chunk]
+
+    def report():
+        got = forkmap.map_chunks(pids, list(range(6)), 3)
+        print(forkmap.fork_usable(), len(set(got)), got[0] == os.getpid())
+
+    report()
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(60,))
     thread.start()
-    print(forkmap.fork_usable(), training._screen_workers(6, 8))
+    report()
     release.set()
     """
 )
@@ -69,7 +77,7 @@ def test_fork_needs_a_one_thread_process():
     env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"}
     run = subprocess.run([sys.executable, "-c", THREAD_RULE], env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == ["True 3", "False 1"]
+    assert run.stdout.splitlines() == ["True 3 True", "False 1 True"]
 
 
 def test_children_of_a_killed_parent_exit():

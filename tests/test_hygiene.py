@@ -1,8 +1,9 @@
 """Source hygiene: every import in the package and its tests is used, every
 private module-level name of the package is read in the package, every public
 function, class and method of the package is read by the package or the
-benchmark, every ``module.name`` the README names in backticks exists, and a
-failing property test reports its example.
+benchmark, every ``module.name`` the README names in backticks exists, the
+README's INI example loads as the default configuration, and a failing
+property test reports its example.
 
 No linter is a dependency, so this walks each module's syntax tree: a name
 an import binds must be read somewhere in that module, as a name, the root
@@ -21,6 +22,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from pddiag.config import RunConfig, load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "pddiag").glob("*.py"))
@@ -164,6 +167,13 @@ def test_readme_names_resolve():
 def test_unresolved_readme_name_is_caught():
     readme = "`training.evaluate` and `training.no_such_name`, `os.path`, `ToolConfig.template_path`, `pred.csv`\n"
     assert unresolved_readme_names(readme) == ["training.no_such_name"]
+
+
+def test_readme_config_example_loads_as_the_defaults(tmp_path):
+    [block] = re.findall(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+    path = tmp_path / "run.ini"
+    path.write_text(block, encoding="utf-8")
+    assert load_config(path).values == RunConfig().values
 
 
 FAILING_PROPERTY = """

@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 
 from helpers import copy_params, gradient_check, graph_nodes
 from pddiag import autodiff as ad
+from pddiag import forkmap
 from pddiag import training as tr
 from pddiag.aggregator import encode_dense, region_average_pool, upsample_fuse, weighted_aggregate
 from pddiag.cli import main as cli_main
 from pddiag.cohort import Cohort, SubjectRecord, read_manifest
 from pddiag.diagnoser import Label, ce_loss_node, classify, decide, predict_brain_age, total_loss
-from pddiag.forkmap import fork_usable, usable_cpus
+from pddiag.forkmap import usable_cpus
 from pddiag.priors import AgingPriorParams, load_relevance_table
 from pddiag.synth import SynthConfig, generate_cohort
 from pddiag.volume_io import NiftiFormatError, TruncatedData, TruncatedHeader, Volume3D, read_atlas
@@ -550,7 +551,7 @@ class TestTrainStage:
         cohort, sa = tiny_setup
         record = cohort[0]
         clone = SubjectRecord(record.subject_id, record.age, None, False, record.volume)
-        bad = Cohort([clone] + cohort.subjects[1:])
+        bad = Cohort([clone] + cohort[1:])
         with pytest.raises(ValueError, match="labeled"):
             tr.train_stage(1, bad, sa.atlas, sa.table, PRIOR, tr.TrainConfig(epochs=1), tr.ModelParams.init(4, 0))
 
@@ -715,14 +716,14 @@ def split_into(monkeypatch):
     """``split_into(k)`` makes ``predict`` screen any cohort of k or more subjects in k processes.
 
     The test process may hold OpenBLAS's default thread pool, which
-    ``fork_usable`` refuses; its fork handler stops the pool before each fork,
-    so the split runs here as it would in a process of one thread.
+    ``forkmap.fork_usable`` refuses; its fork handler stops the pool before
+    each fork, so the split runs here as it would in a process of one thread.
     """
 
     def split(k: int) -> None:
         monkeypatch.setattr(tr, "_MIN_VOXELS_PER_WORKER", 1)
         monkeypatch.setattr(tr, "usable_cpus", lambda: k)
-        monkeypatch.setattr(tr, "fork_usable", lambda: True)
+        monkeypatch.setattr(forkmap, "fork_usable", lambda: True)
 
     return split
 
@@ -731,7 +732,7 @@ class TestForkedPredict:
     """``predict`` over k contiguous chunks, chunk 0 here and the rest in forked children."""
 
     def test_default_split(self):
-        assert tr._screen_workers(32, 64**3) == (min(usable_cpus(), 8) if fork_usable() else 1)
+        assert tr._screen_workers(32, 64**3) == min(usable_cpus(), 8)
         assert tr._screen_workers(40, 32**3) == 1  # train32's evaluate stays in one process
         assert tr._screen_workers(1, 64**4) == 1
 

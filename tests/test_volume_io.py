@@ -128,6 +128,17 @@ class TestReadWrite:
         assert back.data.astype("<f4").tobytes() == vol.data.astype("<f4").tobytes()
         assert (back.data == vol.data).all()
 
+    @pytest.mark.parametrize(
+        "read", [vio.read_volume, functools.partial(vio.read_atlas, region_count=1)], ids=["read_volume", "read_atlas"]
+    )
+    def test_a_read_opens_its_file_once(self, tmp_path, monkeypatch, read):
+        path = tmp_path / "v.nii"
+        vio.write_volume(vio.Volume3D.from_array(np.ones((4, 4, 4)), datatype_code=vio.DTYPE_UINT8), path)
+        opened = []
+        monkeypatch.setattr(vio, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k), raising=False)
+        read(path)
+        assert opened == [path]
+
     def test_seeded_fixture_regenerates(self, tmp_path):
         # expected values regenerated from the fixture's recorded seed
         seed = 20240917
