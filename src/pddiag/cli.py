@@ -8,18 +8,21 @@ seeds, never the clock, so identical invocations produce identical outputs.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
+import traceback
 from pathlib import Path
 
 from .atomic import replacing
-from .cohort import Cohort, read_manifest, write_manifest
+from .cohort import Cohort, SubjectRecord, read_manifest, write_manifest
 from .config import SCHEMA, RunConfig, load_config
 from .csvtable import read_rows, write_rows
 from .diagnoser import Label
+from .forkmap import map_chunks, worker_count
 from .preprocess import run_pipeline
 from .priors import default_relevance_table, load_relevance_table, save_relevance_table
-from .synth import iter_subjects, make_synth_atlas, split_cohort
+from .synth import make_synth_atlas, split_cohort, synth_subject
 from .training import (
     STAGE_PARTS,
     Metrics,
@@ -112,27 +115,47 @@ def read_predictions(path) -> list[PredictionRecord]:
 
 
 def cmd_synth(args) -> int:
-    """Write a synth cohort one subject at a time, so memory peaks at about one volume whatever ``--n`` is.
+    """Write a synth cohort one subject at a time, so memory peaks at about one volume per process whatever ``--n`` is.
 
-    The atlas, relevance table and manifest are written last, and a manifest
-    left by an earlier run is removed first: a directory without
-    ``manifest.csv`` is an incomplete cohort. Volumes an earlier, larger run
-    named ``s<digits>.nii`` are removed before the manifest is written; other
-    files in ``volumes/`` are left alone.
+    Subjects are drawn and written over ``forkmap.worker_count`` contiguous
+    ranges of indices, one per CPU of the affinity mask: range 0 here, the
+    others in processes forked by ``forkmap.map_chunks`` (only from a process
+    of one OS thread, so on several CPUs under ``OPENBLAS_NUM_THREADS=1``).
+    Subject i draws from its own stream, so the files are byte-identical for
+    any split. The atlas, relevance table and manifest are written last, and
+    a manifest left by an earlier run is removed first: a directory without
+    ``manifest.csv`` is an incomplete cohort. If a writer fails, the
+    ``s<digits>.nii.tmp`` files of writers cut short are removed. Volumes an
+    earlier, larger run named ``s<digits>.nii`` are removed before the
+    manifest is written; other files in ``volumes/`` are left alone.
     """
     scfg = _config(args).synth_config()
     satlas = make_synth_atlas(scfg.dims, scfg.region_count)
     out = Path(args.out)
-    (out / "volumes").mkdir(parents=True, exist_ok=True)
+    volumes = out / "volumes"
+    volumes.mkdir(parents=True, exist_ok=True)
     (out / "manifest.csv").unlink(missing_ok=True)
-    subjects = []
-    for rec in iter_subjects(scfg, satlas):
-        rel = f"volumes/{rec.subject_id}.nii"
-        write_volume(rec.volume, out / rel)
-        rec.path, rec.volume = rel, None
-        subjects.append(rec)
+
+    def write(indices: list[int]) -> list[SubjectRecord]:
+        records = []
+        for i in indices:
+            rec = synth_subject(scfg, satlas, i)
+            rec.path = f"volumes/{rec.subject_id}.nii"
+            write_volume(rec.volume, out / rec.path)
+            rec.volume = None
+            records.append(rec)
+        return records
+
+    n = scfg.n_subjects
+    try:
+        subjects = map_chunks(write, list(range(n)), worker_count(n, math.prod(scfg.dims)))
+    except BaseException:
+        for tmp in volumes.iterdir():
+            if re.fullmatch(r"s\d+\.nii\.tmp", tmp.name):
+                tmp.unlink(missing_ok=True)
+        raise
     written = {f"{rec.subject_id}.nii" for rec in subjects}
-    for stale in (out / "volumes").iterdir():
+    for stale in volumes.iterdir():
         if re.fullmatch(r"s\d+\.nii", stale.name) and stale.name not in written:
             stale.unlink()
     write_atlas(satlas.atlas, out / "atlas.nii")
@@ -287,6 +310,9 @@ def cmd_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pddiag", description="Prior-guided volumetric PD screening pipeline")
+    parser.add_argument(
+        "--debug", action="store_true", help="on an error, print its traceback (a worker's too) before the message"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     config = argparse.ArgumentParser(add_help=False)  # --config, the first option of every command
     config.add_argument("--config")
@@ -359,6 +385,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:
+        if args.debug:
+            traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,5 +1,10 @@
 """Map a function over contiguous chunks of a list, one chunk per forked process.
 
+Two callers use it: ``training.predict`` screens a cohort's subjects and
+``cli.cmd_synth`` writes a synth cohort's volumes, each over
+``worker_count(n, voxels)`` chunks: one per CPU of the affinity mask, one
+item and ``_MIN_VOXELS_PER_WORKER`` voxels each.
+
 ``map_chunks(fn, items, k)`` splits ``items`` into k contiguous chunks of
 near-equal size. The calling process runs ``fn`` on chunk 0; each other
 chunk runs in a child made by ``os.fork()``, which inherits everything the
@@ -54,6 +59,17 @@ def fork_usable() -> bool:
 def usable_cpus() -> int:
     """The CPUs this process may run on: the affinity mask that ``taskset`` sets."""
     return len(os.sched_getaffinity(0))
+
+
+# A worker gets at least this many voxels: at ~13–19 ns a voxel to screen and
+# ~20 ns to draw and write, that is ~15–20 ms of work, against ~2 ms to fork,
+# exit and reap a process.
+_MIN_VOXELS_PER_WORKER = 1 << 20
+
+
+def worker_count(n_items: int, voxels_per_item: int) -> int:
+    """Processes for ``n_items`` volumes: one per usable CPU, one item and ``_MIN_VOXELS_PER_WORKER`` voxels each."""
+    return max(1, min(usable_cpus(), n_items, n_items * voxels_per_item // _MIN_VOXELS_PER_WORKER))
 
 
 class _RemoteTraceback(Exception):

@@ -141,22 +141,28 @@ def synth_volume(
     return Volume3D.from_array(data)
 
 
-def iter_subjects(cfg: SynthConfig, synth_atlas: SynthAtlas) -> Iterator[SubjectRecord]:
-    """Yield each subject with its volume; subject i draws from its own stream ``default_rng([seed, i])``.
+def synth_subject(cfg: SynthConfig, synth_atlas: SynthAtlas, i: int) -> SubjectRecord:
+    """Subject i with its volume, drawn from its own stream ``default_rng([seed, i])``.
 
     The first ``round(n * pd_fraction)`` subjects are PD; of the rest, the first
-    ``round(n_other * healthy_fraction)`` are flagged healthy.
+    ``round(n_other * healthy_fraction)`` are flagged healthy. No subject's
+    draw depends on another's, so any split of the indices draws the same
+    subjects.
     """
     n_pd = round(cfg.n_subjects * cfg.pd_fraction)
     n_healthy = round((cfg.n_subjects - n_pd) * cfg.healthy_fraction)
-    for i in range(cfg.n_subjects):
-        rng = np.random.default_rng([cfg.seed, i])
-        age = float(rng.uniform(cfg.age_min, cfg.age_max))
-        is_pd = i < n_pd
-        label = Label.PD if is_pd else Label.OTHER
-        healthy = not is_pd and i - n_pd < n_healthy
-        volume = synth_volume(synth_atlas, age, is_pd, cfg, rng)
-        yield SubjectRecord(subject_id=f"s{i:04d}", age=age, label=label, is_healthy=healthy, volume=volume)
+    rng = np.random.default_rng([cfg.seed, i])
+    age = float(rng.uniform(cfg.age_min, cfg.age_max))
+    is_pd = i < n_pd
+    label = Label.PD if is_pd else Label.OTHER
+    healthy = not is_pd and i - n_pd < n_healthy
+    volume = synth_volume(synth_atlas, age, is_pd, cfg, rng)
+    return SubjectRecord(subject_id=f"s{i:04d}", age=age, label=label, is_healthy=healthy, volume=volume)
+
+
+def iter_subjects(cfg: SynthConfig, synth_atlas: SynthAtlas) -> Iterator[SubjectRecord]:
+    """Yield ``synth_subject`` for each index in turn."""
+    return (synth_subject(cfg, synth_atlas, i) for i in range(cfg.n_subjects))
 
 
 def generate_cohort(cfg: SynthConfig) -> tuple[Cohort, SynthAtlas]:

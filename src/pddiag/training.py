@@ -24,13 +24,14 @@ arrays, so they build no autodiff graph and ``conv3d_down`` takes its
 cache-blocked path. ``predict`` streams the cohort: each subject's volume is
 read, screened and dropped in turn, so a worker holds about one volume of
 working memory however long the cohort is. It splits the cohort into
-contiguous chunks, one per CPU of the affinity mask and at least
-``_MIN_VOXELS_PER_WORKER`` voxels each, and screens chunk 0 here and the
-others in processes forked by ``forkmap.map_chunks``, which forks only on
-Linux and only from a process of one OS thread (``forkmap.fork_usable``), so
-with numpy's OpenBLAS pool on several CPUs screening needs
-``OPENBLAS_NUM_THREADS=1``; otherwise it runs in one process, as under
-``taskset -c 0``. The records are byte-identical for any worker count.
+``forkmap.worker_count`` contiguous chunks, by the rule that ``cli.cmd_synth``
+follows too (one per CPU of the affinity mask, at least 2²⁰ voxels each),
+and screens chunk 0 here and the others in processes forked by
+``forkmap.map_chunks``, which forks only on Linux and only from a process of
+one OS thread (``forkmap.fork_usable``), so with numpy's OpenBLAS pool on
+several CPUs screening needs ``OPENBLAS_NUM_THREADS=1``; otherwise it runs
+in one process, as under ``taskset -c 0``. The records are byte-identical
+for any worker count.
 Both read a volume through ``SubjectRecord.load_volume``, which keeps none on
 the record: ``train_stage`` holds its subjects' arrays only while it runs.
 """
@@ -62,7 +63,7 @@ from .aggregator import (
 from .atomic import replacing
 from .cohort import Cohort, SubjectRecord
 from .diagnoser import BranchParams, Label, ce_loss_node, classify, decide, head, predict_brain_age, total_loss
-from .forkmap import map_chunks, usable_cpus
+from .forkmap import map_chunks, worker_count
 from .priors import AgingPriorParams, RelevanceTable
 from .volume_io import AtlasVolume
 
@@ -394,16 +395,6 @@ def kv_rate(key: str, value: float | None) -> str:
     return f"{key}={'undefined' if value is None else repr(float(value))}"
 
 
-# A screening worker gets at least this many voxels: at ~19 ns a voxel that is
-# ~20 ms of work, against ~2 ms to fork, exit and reap a process.
-_MIN_VOXELS_PER_WORKER = 1 << 20
-
-
-def _screen_workers(subjects: int, voxels_per_subject: int) -> int:
-    """Processes that screen a cohort: one per usable CPU, one subject and ``_MIN_VOXELS_PER_WORKER`` voxels each."""
-    return max(1, min(usable_cpus(), subjects, subjects * voxels_per_subject // _MIN_VOXELS_PER_WORKER))
-
-
 def predict(
     params: ModelParams,
     cohort: Cohort,
@@ -444,7 +435,7 @@ def predict(
         return records
 
     subjects = list(cohort)
-    return map_chunks(screen, subjects, _screen_workers(len(subjects), atlas.labels.size))
+    return map_chunks(screen, subjects, worker_count(len(subjects), atlas.labels.size))
 
 
 def metrics_from_records(records: list[PredictionRecord]) -> Metrics:

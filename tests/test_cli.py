@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -11,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pddiag import cli
+from pddiag import cli, forkmap
 from pddiag import cohort as cohort_module
+from pddiag.atomic import replacing
 from pddiag.cli import PREDICTION_FIELDS, _config, build_parser, main, read_predictions, write_predictions
 from pddiag.cohort import Cohort, SubjectRecord, read_manifest, write_manifest
 from pddiag.config import SCHEMA, ConfigError, RunConfig, load_config
 from pddiag.diagnoser import Label
+from pddiag.forkmap import usable_cpus
 from pddiag.preprocess import ToolConfig
 from pddiag.priors import AgingPriorParams, save_relevance_table
 from pddiag.synth import SynthConfig, generate_cohort
@@ -130,11 +133,110 @@ class TestSynthCommand:
         assert sorted(p.name for p in (out / "volumes").iterdir()) == ["keep.txt", "s0000.nii", "s0001.nii"]
         assert len((out / "manifest.csv").read_text().splitlines()) == 1 + 2
 
+    def test_default_split(self):
+        assert forkmap.worker_count(64, 32**3) == min(usable_cpus(), 2)  # the RSS guard's n=64 run forks
+        assert forkmap.worker_count(4, 32**3) == 1
+        assert forkmap.worker_count(6, 8**3) == 1  # the other synth tests write in one process
+
+    def test_files_are_identical_for_1_2_and_3_writers(self, tmp_path, monkeypatch, split_into):
+        def recording_write(volume, path):
+            Path(f"{path}.pid").write_text(str(os.getpid()))
+            write_volume(volume, path)
+
+        monkeypatch.setattr(cli, "write_volume", recording_write)
+        trees = {}
+        for k in (1, 2, 3):
+            split_into(k)
+            assert forkmap.worker_count(6, 8**3) == k
+            out = tmp_path / str(k)
+            assert run_cli("synth", "--out", out, "--n", 6, "--dims", 8, "--seed", 3) == 0
+            pid_files = sorted((out / "volumes").glob("*.pid"))
+            writers = [p.read_text() for p in pid_files]
+            assert len(set(writers)) == k and writers[0] == str(os.getpid())  # chunk 0 runs here
+            for p in pid_files:
+                p.unlink()
+            trees[k] = tree_digest(out)
+        assert len(trees[1]) == 6 + 3
+        assert trees[1] == trees[2] == trees[3]
+
+    @staticmethod
+    def _failing_writer(monkeypatch, subject_id: str, fail) -> None:
+        """Make ``cli.write_volume`` start ``subject_id``'s file and then call ``fail``, in a child only."""
+        parent = os.getpid()
+
+        def write(volume, path):
+            if Path(path).name == f"{subject_id}.nii" and os.getpid() != parent:
+                with replacing(path) as tmp:
+                    Path(tmp).write_bytes(b"partial")
+                    fail()
+            write_volume(volume, path)
+
+        monkeypatch.setattr(cli, "write_volume", write)
+
+    def _assert_incomplete(self, out: Path) -> None:
+        assert not (out / "manifest.csv").exists()
+        assert list((out / "volumes").glob("*.tmp")) == []
+
+    def test_failing_writer_in_a_child_leaves_no_manifest(self, tmp_path, monkeypatch, capsys, split_into):
+        out = tmp_path / "o"
+        assert run_cli("synth", "--out", out, "--n", 6, "--dims", 8, "--seed", 1) == 0
+
+        def disk_full():
+            raise OSError("disk full")
+
+        self._failing_writer(monkeypatch, "s0005", disk_full)  # chunk 2 of [0, 1] [2, 3] [4, 5]
+        split_into(3)
+        capsys.readouterr()
+        assert run_cli("synth", "--out", out, "--n", 6, "--dims", 8, "--seed", 2) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        self._assert_incomplete(out)
+
+    def test_killed_writer_names_its_items_and_status(self, tmp_path, monkeypatch, capsys, split_into):
+        out = tmp_path / "o"
+        self._failing_writer(monkeypatch, "s0004", lambda: os.kill(os.getpid(), signal.SIGKILL))
+        split_into(3)
+        assert run_cli("synth", "--out", out, "--n", 6, "--dims", 8, "--seed", 2) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the worker for items 4..5 ended without a result (wait status 9, ")
+        self._assert_incomplete(out)  # the killed writer's s0004.nii.tmp is removed too
+
     def test_unknown_subcommand_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("frobnicate")
         assert exc.value.code == 2
         assert "usage" in capsys.readouterr().err
+
+
+class TestDebugFlag:
+    MESSAGE = "error: dims (30, 30, 30) must all be divisible by 4\n"
+
+    def test_without_the_flag_only_the_message(self, tmp_path, capsys):
+        assert run_cli("synth", "--out", tmp_path / "x", "--n", 2, "--dims", 30) == 1
+        assert capsys.readouterr().err == self.MESSAGE
+
+    def test_traceback_then_the_same_message(self, tmp_path, capsys):
+        assert run_cli("--debug", "synth", "--out", tmp_path / "x", "--n", 2, "--dims", 30) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert ", in cmd_synth\n" in err and ", in __post_init__\n" in err
+        assert err.endswith("\nValueError: dims (30, 30, 30) must all be divisible by 4\n" + self.MESSAGE)
+
+    def test_a_forked_workers_traceback_is_printed(self, tmp_path, monkeypatch, capsys, split_into):
+        parent = os.getpid()
+
+        def write(volume, path):
+            if os.getpid() != parent:
+                raise OSError("disk full")
+            write_volume(volume, path)
+
+        monkeypatch.setattr(cli, "write_volume", write)
+        split_into(2)
+        assert run_cli("--debug", "synth", "--out", tmp_path / "o", "--n", 4, "--dims", 8) == 1
+        err = capsys.readouterr().err
+        worker, caller = err.split("\nThe above exception was the direct cause of the following exception:\n")
+        assert ", in _child_payload\n" in worker and ", in write\n" in worker  # the child's frames
+        assert worker.rstrip().endswith("OSError: disk full")
+        assert ", in map_chunks\n" in caller and caller.endswith("\nOSError: disk full\nerror: disk full\n")
 
 
 # Linux carries a process's resident high-water mark across fork and exec, so
@@ -151,8 +253,12 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 def _synth_max_rss_kb(out: Path, n: int) -> int:
-    """Peak resident set, in KiB, of one ``pddiag synth --dims 32`` child."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    """Peak resident set, in KiB, of one ``pddiag synth --dims 32`` child and the writers it forks.
+
+    The child runs with one BLAS thread, so on several CPUs it is a process
+    of one thread and the n=64 cohort is written by forked writers.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
     cmd = [sys.executable, "-m", "pddiag.cli", "synth", "--out", str(out), "--n", str(n), "--dims", "32"]
     launched = subprocess.run(
         [sys.executable, "-c", _RSS_LAUNCHER, *cmd], env=env, capture_output=True, text=True, timeout=120

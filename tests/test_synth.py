@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pddiag.aggregator import region_average_pool
 from pddiag.diagnoser import Label
@@ -12,6 +14,7 @@ from pddiag.synth import (
     iter_subjects,
     make_synth_atlas,
     split_cohort,
+    synth_subject,
     synth_volume,
 )
 from pddiag.volume_io import AtlasVolume
@@ -122,6 +125,29 @@ class TestGeneration:
             (s.subject_id, s.age, s.label, s.is_healthy) for s in cohort
         ]
         assert all(a.volume.data.tobytes() == b.volume.data.tobytes() for a, b in zip(streamed, cohort))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(0, 12),
+        pd_fraction=st.floats(0.0, 1.0),
+        healthy_fraction=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32),
+    )
+    def test_synth_subject_is_the_ith_streamed_subject(self, data, n, pd_fraction, healthy_fraction, seed):
+        # what lets pddiag synth write any split of the indices in any process
+        cfg = SynthConfig(
+            n_subjects=n, dims=(8, 8, 8), pd_fraction=pd_fraction, healthy_fraction=healthy_fraction, seed=seed
+        )
+        sa = make_synth_atlas(cfg.dims, cfg.region_count)
+        streamed = list(iter_subjects(cfg, sa))
+        indices = data.draw(st.lists(st.sampled_from(range(n)), unique=True) if n else st.just([]))
+
+        def bits(s):
+            return s.subject_id, s.age.hex(), s.label, s.is_healthy, s.volume.data.dtype, s.volume.data.tobytes()
+
+        for i in indices:
+            assert bits(synth_subject(cfg, sa, i)) == bits(streamed[i])
 
     def test_background_label_reads_zero(self):
         cfg = SynthConfig(n_subjects=1, dims=(8, 8, 8), noise_std=0.0)

@@ -711,30 +711,13 @@ def _record_bits(records) -> list[tuple]:
     ]
 
 
-@pytest.fixture
-def split_into(monkeypatch):
-    """``split_into(k)`` makes ``predict`` screen any cohort of k or more subjects in k processes.
-
-    The test process may hold OpenBLAS's default thread pool, which
-    ``forkmap.fork_usable`` refuses; its fork handler stops the pool before
-    each fork, so the split runs here as it would in a process of one thread.
-    """
-
-    def split(k: int) -> None:
-        monkeypatch.setattr(tr, "_MIN_VOXELS_PER_WORKER", 1)
-        monkeypatch.setattr(tr, "usable_cpus", lambda: k)
-        monkeypatch.setattr(forkmap, "fork_usable", lambda: True)
-
-    return split
-
-
 class TestForkedPredict:
     """``predict`` over k contiguous chunks, chunk 0 here and the rest in forked children."""
 
     def test_default_split(self):
-        assert tr._screen_workers(32, 64**3) == min(usable_cpus(), 8)
-        assert tr._screen_workers(40, 32**3) == 1  # train32's evaluate stays in one process
-        assert tr._screen_workers(1, 64**4) == 1
+        assert forkmap.worker_count(32, 64**3) == min(usable_cpus(), 8)
+        assert forkmap.worker_count(40, 32**3) == 1  # train32's evaluate stays in one process
+        assert forkmap.worker_count(1, 64**4) == 1
 
     @pytest.mark.parametrize("source", ["memory", "files"])
     def test_records_are_bitwise_equal_for_1_2_and_3_workers(self, source, tiny_setup, manifest_setup, split_into):
@@ -748,7 +731,7 @@ class TestForkedPredict:
         runs = {}
         for k in (1, 2, 3):
             split_into(k)
-            assert tr._screen_workers(len(cohort), atlas.labels.size) == k
+            assert forkmap.worker_count(len(cohort), atlas.labels.size) == k
             runs[k] = _record_bits(tr.predict(params, cohort, atlas, table, PRIOR))
         assert runs[1] == runs[2] == runs[3]
         assert [r[0] for r in runs[1]] == [s.subject_id for s in cohort]
