@@ -5,7 +5,9 @@ Every value in the compute graph is a Tensor. Leaves created with
 accumulate into ``.grad``, which is how per-sample gradients sum over a batch.
 A result that needs no gradient keeps no parents and no backward closure, so
 a forward pass over constants builds no graph and frees each intermediate as
-soon as it is dead. All arithmetic is float64 end to end.
+soon as it is dead. All arithmetic is float64 end to end. This module holds
+the Tensor, the engine, leaf constructors and the conv; every other graph
+node is a model layer with its own backward, in ``aggregator`` or ``diagnoser``.
 """
 
 from __future__ import annotations
@@ -117,42 +119,6 @@ def conv_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         h._backward = lambda g: back(g * mask)
     _relu_values(h.data, out=h.data)
     return h
-
-
-def pick(a: Tensor, index: int) -> Tensor:
-    out = a.data[index]
-
-    def back(g):
-        ga = np.zeros_like(a.data)
-        ga[index] = g
-        return (ga,)
-
-    return Tensor(out, parents=(a,), backward=back)
-
-
-def cross_entropy_values(logits: Array, index: int) -> tuple[Array, Callable[[Array], Array]]:
-    """logsumexp(logits) - logits[index] on plain arrays, and the map from its upstream gradient g to d/d(logits)."""
-    m = np.max(logits)
-    lse = np.log(np.sum(np.exp(logits - m))) + m
-
-    def grad(g):
-        ga = g * np.exp(logits - lse)
-        ga[index] -= g
-        return ga
-
-    return lse - logits[index], grad
-
-
-def cross_entropy(logits: Tensor, index: int) -> Tensor:
-    """logsumexp(logits) - logits[index]: the cross entropy of softmax(logits) at ``index``, as one node."""
-    value, grad = cross_entropy_values(logits.data, index)
-    return Tensor(value, parents=(logits,), backward=lambda g: (grad(g),))
-
-
-def squared_error(a: Tensor, target: float) -> Tensor:
-    """(a - target)², as one node; backward sums g * err twice, as for a product with a shared factor."""
-    err = a.data - target
-    return Tensor(err * err, parents=(a,), backward=lambda g: (g * err + g * err,))
 
 
 _K = 3  # conv kernel edge

@@ -10,12 +10,13 @@ from .atomic import replacing
 def read_rows(path, fields: list[str], parse) -> list:
     """``parse(row)`` for each row, as a dict keyed by ``fields``.
 
-    Header names are compared after stripping spaces. A wrong header, a row
-    with too few or too many fields, or a ValueError or csv.Error from
-    ``parse`` raises ValueError("{path}, line N: ...").
+    The file is UTF-8, with or without a byte-order mark. Header names are
+    compared after stripping spaces. A wrong header, a row with too few or
+    too many fields, or a ValueError or csv.Error from ``parse`` raises
+    ValueError("{path}, line N: ...").
     """
     records = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         try:
             if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != fields:
@@ -31,8 +32,8 @@ def read_rows(path, fields: list[str], parse) -> list:
 
 
 def write_rows(path, fields: list[str], rows) -> None:
-    """Replace ``path`` with the header and ``rows``, CRLF-terminated as csv.writer writes them."""
-    with replacing(path) as tmp, open(tmp, "w", newline="") as fh:
+    """Replace ``path`` with the header and ``rows`` in UTF-8, CRLF-terminated as csv.writer writes them."""
+    with replacing(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)
         writer.writerows(rows)

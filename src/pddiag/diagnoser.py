@@ -11,7 +11,9 @@ correction, shared by ``total_loss`` and ``training.predict``.
 
 Each branch is two graph nodes: a ``conv_relu`` and one node for the global
 average pooling and the affine head, with its backward written out in
-``_branch``.
+``_branch``, in the head's own shape: (2,) logits or a 0-d age. Each stage's
+objective is one node with its own backward, beside the head: ``ce_loss_node``,
+``squared_error`` and ``total_loss`` for stages 1, 2 and 3.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ class BranchParams:
         return self.head_w.data.shape[0]
 
 
-def _branch(fused: Tensor, params: BranchParams) -> Tensor:
-    """head_w @ mean(h) + head_b, h = conv_relu(fused); pooling and head are one node over (h, head_w, head_b)."""
+def _branch(fused: Tensor, params: BranchParams, shape: tuple[int, ...]) -> Tensor:
+    """head_w @ mean(h) + head_b as ``shape``, h = conv_relu(fused); pooling and head are one node over h and the head."""
     if params.conv_w.data.shape[1] != fused.data.shape[0]:
         raise ShapeMismatch(f"branch expects {params.conv_w.data.shape[1]} channels, fused has {fused.data.shape[0]}")
     h = ad.conv_relu(fused, params.conv_w, params.conv_b)
@@ -74,25 +76,27 @@ def _branch(fused: Tensor, params: BranchParams) -> Tensor:
     w = params.head_w.data
 
     def back(g):
+        g = np.reshape(g, -1)  # the head's (outputs,)
         gp = w.T @ g
         return np.broadcast_to(gp[:, None, None, None] / n, h.data.shape).copy(), np.outer(g, pooled), g.copy()
 
-    return Tensor(w @ pooled + params.head_b.data, parents=(h, params.head_w, params.head_b), backward=back)
+    out = (w @ pooled + params.head_b.data).reshape(shape)
+    return Tensor(out, parents=(h, params.head_w, params.head_b), backward=back)
 
 
 def classify(fused: Tensor, params: BranchParams) -> Tensor:
     """The (2,) logits (z_pd, z_ot) from the fused feature."""
     if params.outputs != 2:
         raise ShapeMismatch(f"classifier head must emit 2 logits, emits {params.outputs}")
-    return _branch(fused, params)
+    return _branch(fused, params, (2,))
 
 
 def predict_brain_age(fused: Tensor, params: BranchParams) -> Tensor:
-    """Scalar brain-age estimate in years (differentiable; .item() for the float)."""
+    """0-d brain-age estimate in years (differentiable; .item() for the float)."""
     if params.outputs != 1:
         raise ShapeMismatch(f"age head must emit 1 output, emits {params.outputs}")
-    # the head is (1, C), as checkpoints store it; pick takes its one output
-    return ad.pick(_branch(fused, params), 0)
+    # the head is (1, C), as checkpoints store it; its one output is the 0-d node
+    return _branch(fused, params, ())
 
 
 def phi(delta: float, tau: float) -> float:
@@ -117,9 +121,30 @@ def decide(z_tilde: np.ndarray) -> tuple[Label, float]:
     return (Label.PD if p_pd > 0.5 else Label.OTHER), p_pd
 
 
+def _cross_entropy(logits: np.ndarray, label: Label) -> tuple:
+    """logsumexp(logits) - logits[label's index], and the map from its upstream gradient g to d/d(logits)."""
+    index = 0 if label is Label.PD else 1
+    m = np.max(logits)
+    lse = np.log(np.sum(np.exp(logits - m))) + m
+
+    def grad(g):
+        ga = g * np.exp(logits - lse)
+        ga[index] -= g
+        return ga
+
+    return lse - logits[index], grad
+
+
 def ce_loss_node(logits: Tensor, label: Label) -> Tensor:
-    """Two-class cross entropy of (2,) logits, as one ``ad.cross_entropy`` graph node."""
-    return ad.cross_entropy(logits, 0 if label is Label.PD else 1)
+    """Stage 1's objective: the two-class cross entropy of (2,) logits, as one node."""
+    value, grad = _cross_entropy(logits.data, label)
+    return Tensor(value, parents=(logits,), backward=lambda g: (grad(g),))
+
+
+def squared_error(age: Tensor, target: float) -> Tensor:
+    """Stage 2's objective: (age - target)², as one node; 2 * (g * err) is bitwise g * err + g * err."""
+    err = age.data - target
+    return Tensor(err * err, parents=(age,), backward=lambda g: (2.0 * (g * err),))
 
 
 @dataclass
@@ -172,7 +197,7 @@ def total_loss(
     """
     out = head(fused, age_chrono, branch1, branch2, prior)
     l_age = age_loss(out.delta, label, prior)
-    l_cls, cls_grad = ad.cross_entropy_values(out.corrected, 0 if label is Label.PD else 1)
+    l_cls, cls_grad = _cross_entropy(out.corrected, label)
     slope = (-1.0 if label is Label.PD else 1.0) * (1.0 if l_age > 0.0 else 0.0)
     shift = np.array([prior.alpha, -prior.alpha])
 

@@ -62,7 +62,7 @@ from .aggregator import (
 )
 from .atomic import replacing
 from .cohort import Cohort, SubjectRecord
-from .diagnoser import BranchParams, Label, ce_loss_node, classify, decide, head, predict_brain_age, total_loss
+from .diagnoser import BranchParams, Label, ce_loss_node, classify, decide, head, predict_brain_age, squared_error, total_loss
 from .forkmap import map_chunks, worker_count
 from .priors import AgingPriorParams, RelevanceTable
 from .volume_io import AtlasVolume
@@ -317,7 +317,7 @@ def train_stage(
                 if stage == 1:
                     node = ce_loss_node(classify(_fused(prep, params), params.branch1), prep.record.label)
                 elif stage == 2:
-                    node = ad.squared_error(predict_brain_age(fixed[idx], params.branch2), prep.record.age)
+                    node = squared_error(predict_brain_age(fixed[idx], params.branch2), prep.record.age)
                 else:
                     breakdown = total_loss(
                         _fused(prep, params), prep.record.age, prep.record.label, params.branch1, params.branch2, prior

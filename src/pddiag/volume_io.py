@@ -1,9 +1,9 @@
 """Bit-exact I/O for a minimal uncompressed NIfTI-1 subset, plus atlas handling.
 
 Only single-file volumes (magic ``n+1\\0``) with dim[0]=3 and datatypes
-uint8 (2), int16 (4), float32 (16) are accepted; anything else errors loudly.
-Normative header offsets: 0 (sizeof_hdr), 40 (dim), 70 (datatype),
-108 (vox_offset), 344 (magic).
+uint8 (2), int16 (4), float32 (16) are accepted, unscaled; anything else errors
+loudly. Normative header offsets: 0 (sizeof_hdr), 40 (dim), 70 (datatype),
+108 (vox_offset), 112 (scl_slope), 116 (scl_inter), 344 (magic).
 
 Axis convention: a volume has dims (D, H, W) with W the fastest-varying axis
 in the payload, i.e. ``data[d, h, w]`` as a C-ordered (D, H, W) array stores
@@ -165,6 +165,9 @@ def parse_header(buf: bytes) -> VolumeHeader:
     vox_offset_f = struct.unpack_from(end + "f", buf, 108)[0]
     if not math.isfinite(vox_offset_f):
         raise NiftiFormatError(f"vox_offset {vox_offset_f} is not finite")
+    slope, inter = struct.unpack_from(end + "2f", buf, 112)  # slope 0 means no scaling
+    if slope != 0.0 and (slope, inter) != (1.0, 0.0):
+        raise NiftiFormatError(f"scl_slope {slope} and scl_inter {inter} ask for intensity scaling, not supported")
     # VolumeHeader refuses an unsupported datatype, a dim below 1 and a vox_offset inside the header
     return VolumeHeader(
         dims=dims,

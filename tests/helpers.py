@@ -7,8 +7,11 @@ import numpy as np
 import dataclasses
 
 from pddiag import autodiff as ad
-from pddiag.aggregator import FusionProjection
+from pddiag.aggregator import FusionProjection, encode_dense, region_average_pool, upsample_fuse, weighted_aggregate
 from pddiag.autodiff import Tensor
+from pddiag.diagnoser import ce_loss_node, classify, predict_brain_age, squared_error, total_loss
+from pddiag.priors import AgingPriorParams
+from pddiag.training import ModelParams
 
 
 def tsum(a: Tensor) -> Tensor:
@@ -29,6 +32,17 @@ def linear(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
         return np.outer(g, x.data), w.data.T @ g, g.copy()
 
     return Tensor(out, parents=(w, x, b), backward=back)
+
+
+def pick(a: Tensor, index: int) -> Tensor:
+    """Element ``index`` of ``a``, as a scalar node; with composed_branch, the age head node by node."""
+
+    def back(g):
+        ga = np.zeros_like(a.data)
+        ga[index] = g
+        return (ga,)
+
+    return Tensor(a.data[index], parents=(a,), backward=back)
 
 
 def composed_upsample_fuse(agg, dense: Tensor, proj: FusionProjection) -> Tensor:
@@ -66,6 +80,22 @@ def graph_nodes(root: Tensor) -> int:
                 seen.add(id(p))
                 stack.append(p)
     return len(seen)
+
+
+def stage_graph_nodes(record, synth_atlas) -> tuple[int, int, int]:
+    """Nodes of one subject's stage-1, stage-2 and stage-3 loss graphs, counted as the backward engine walks them."""
+    params = ModelParams.init(4, seed=0)
+    agg = weighted_aggregate(region_average_pool(record.volume, synth_atlas.atlas), synth_atlas.table)
+
+    def fused(model):
+        return upsample_fuse(agg, encode_dense(record.volume, model.encoder), model.fusion)
+
+    stage1 = ce_loss_node(classify(fused(params), params.branch1), record.label)
+    # stage 2 fits the age branch on fixed features, as train_stage does
+    stage2 = squared_error(predict_brain_age(fused(params.frozen()), params.branch2), record.age)
+    prior = AgingPriorParams()
+    stage3 = total_loss(fused(params), record.age, record.label, params.branch1, params.branch2, prior).node
+    return graph_nodes(stage1), graph_nodes(stage2), graph_nodes(stage3)
 
 
 def param_tensors(*parts) -> list[Tensor]:

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from helpers import copy_params, gradient_check, param_tensors, softplus_pair, tdot
-from pddiag import autodiff as ad
 from pddiag import training as tr
 from pddiag import volume_io as vio
 from pddiag.aggregator import (
@@ -30,7 +29,7 @@ from pddiag.aggregator import (
     weighted_aggregate,
 )
 from pddiag.cli import main as cli_main
-from pddiag.diagnoser import BranchParams, Label, age_loss, classify, phi, predict_brain_age, total_loss
+from pddiag.diagnoser import BranchParams, Label, age_loss, classify, phi, predict_brain_age, squared_error, total_loss
 from pddiag.preprocess import ToolConfig, run_pipeline
 from pddiag.priors import AgingPriorParams
 from pddiag.synth import SynthConfig, generate_cohort, split_cohort
@@ -180,7 +179,7 @@ def test_criterion_05_gradient_checks():
             param_tensors(b2),
         ),
         "stage2_objective": (
-            lambda: ad.squared_error(predict_brain_age(fused(), b2), 62.0),
+            lambda: squared_error(predict_brain_age(fused(), b2), 62.0),
             param_tensors(b2),
         ),
         "total_loss": (

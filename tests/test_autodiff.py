@@ -11,12 +11,13 @@ from helpers import (
     graph_nodes,
     linear,
     param_tensors,
+    pick,
     tdot,
     tsum,
 )
 from pddiag import autodiff as ad
 from pddiag.aggregator import AggregatedFeature, FusionProjection, upsample_fuse
-from pddiag.diagnoser import BranchParams, classify, predict_brain_age
+from pddiag.diagnoser import BranchParams, Label, ce_loss_node, classify, predict_brain_age, squared_error
 
 
 def conv3d_bruteforce(x, w, b):
@@ -221,7 +222,7 @@ class TestConv:
 class TestPrimitives:
     def test_cross_entropy_value_and_stability(self):
         z = ad.constant(np.array([1000.0, 1000.0]))
-        out = ad.cross_entropy(z, 0)
+        out = ce_loss_node(z, Label.PD)
         assert out.item() == pytest.approx(np.log(2.0))
 
     def test_pick_and_linear(self):
@@ -230,7 +231,7 @@ class TestPrimitives:
         b = ad.constant(np.array([0.5, -0.5]))
         out = linear(w, x, b)
         assert (out.data == [17.5, 38.5]).all()
-        assert ad.pick(out, 1).item() == 38.5
+        assert pick(out, 1).item() == 38.5
 
     def test_composite_gradients(self):
         rng = np.random.default_rng(3)
@@ -242,7 +243,7 @@ class TestPrimitives:
 
         def loss():
             h = linear(w, x, b)
-            return ad.cross_entropy(linear(mix, h, h), 1)  # h reaches the loss by two paths
+            return ce_loss_node(linear(mix, h, h), Label.OTHER)  # h reaches the loss by two paths
 
         assert gradient_check(loss, [w, b], probe_count=30, seed=4) < 1e-7
 
@@ -322,7 +323,7 @@ class TestLayerNodes:
         cases = [
             (lambda: upsample_fuse(agg, x, fusion), lambda: composed_upsample_fuse(agg, x, fusion), [fusion]),
             (lambda: classify(x, branch), lambda: composed_branch(x, branch), [branch]),
-            (lambda: predict_brain_age(x, age), lambda: ad.pick(composed_branch(x, age), 0), [age]),
+            (lambda: predict_brain_age(x, age), lambda: pick(composed_branch(x, age), 0), [age]),
         ]
         coeff_rng = np.random.default_rng(9)
         for node, composed, parts in cases:
@@ -350,7 +351,9 @@ def composed_cross_entropy(z, index, g):
 
 
 class TestCrossEntropy:
-    """ad.cross_entropy against the three-node composition it replaced, bit for bit."""
+    """diagnoser.ce_loss_node against the three-node composition it replaced, bit for bit."""
+
+    LABELS = (Label.PD, Label.OTHER)  # by logit index
 
     LOGITS = [
         *np.random.default_rng(8).normal(0.0, 3.0, size=(20, 2)),
@@ -370,14 +373,14 @@ class TestCrossEntropy:
             z = np.array(z, dtype=np.float64)
             want_value, want_grad = composed_cross_entropy(z, index, g)
             logits = ad.parameter(z)
-            out = ad.cross_entropy(logits, index)
+            out = ce_loss_node(logits, self.LABELS[index])
             assert out.data.tobytes() == want_value.tobytes()
             ad.backward(out, seed=g)
             assert logits.grad.tobytes() == want_grad.tobytes()
 
     def test_is_one_node(self):
         logits = ad.parameter(np.array([0.5, -1.0]))
-        out = ad.cross_entropy(logits, 1)
+        out = ce_loss_node(logits, Label.OTHER)
         assert out._parents == (logits,)
         assert graph_nodes(out) == 2
 
@@ -385,11 +388,11 @@ class TestCrossEntropy:
         rng = np.random.default_rng(9)
         z = ad.parameter(rng.standard_normal(2))
         for index in (0, 1):
-            assert gradient_check(lambda: ad.cross_entropy(z, index), [z], probe_count=10, seed=index) < 1e-7
+            assert gradient_check(lambda: ce_loss_node(z, self.LABELS[index]), [z], probe_count=10, seed=index) < 1e-7
 
 
 class TestSquaredError:
-    """ad.squared_error against mul(err, err) over err = sub(a, constant(target)), bit for bit."""
+    """diagnoser.squared_error against mul(err, err) over err = sub(a, constant(target)), bit for bit."""
 
     CASES = [*np.random.default_rng(17).normal(60.0, 15.0, size=(20, 2)), (65.0, 65.0), (-0.0, 0.0), (1e3, -1e3)]
 
@@ -399,21 +402,21 @@ class TestSquaredError:
             # mul passed g * err to each of its two operands, err both times, and the engine summed them
             err = np.float64(a) - target
             param = ad.parameter(a)
-            out = ad.squared_error(param, target)
+            out = squared_error(param, target)
             assert out.data.tobytes() == np.asarray(err * err).tobytes()
             ad.backward(out, seed=g)
             assert param.grad.tobytes() == np.asarray(g * err + g * err).tobytes()
 
     def test_is_one_node(self):
         a = ad.parameter(2.0)
-        out = ad.squared_error(a, 1.0)
+        out = squared_error(a, 1.0)
         assert out._parents == (a,)
         assert graph_nodes(out) == 2
 
     def test_gradient_check(self):
         p = ad.parameter(np.random.default_rng(18).normal(60.0, 10.0, size=3))
         for index in (0, 2):
-            assert gradient_check(lambda: ad.squared_error(ad.pick(p, index), 62.5), [p], probe_count=10, seed=index) < 1e-7
+            assert gradient_check(lambda: squared_error(pick(p, index), 62.5), [p], probe_count=10, seed=index) < 1e-7
 
 
 RELU_SPECIALS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0]
@@ -503,7 +506,7 @@ class TestEngine:
             ad.conv3d_down(x, w, b),
             ad.conv_relu(x, w, b),
             upsample_fuse(AggregatedFeature(0.5, 0.25), x, fusion),
-            ad.squared_error(tsum(x), 1.0),
+            squared_error(tsum(x), 1.0),
             tsum(x),
         ):
             assert not out.requires_grad
@@ -526,7 +529,7 @@ class TestEngine:
 
     def test_seed_scales_gradient(self):
         p = ad.parameter(3.0)
-        ad.backward(ad.squared_error(p, 0.0), seed=0.5)
+        ad.backward(squared_error(p, 0.0), seed=0.5)
         assert p.grad == pytest.approx(3.0)
 
     def test_diamond_graph(self):

@@ -993,3 +993,21 @@ def test_data_by_flags_or_file_in_any_directory_writes_the_same_model(tmp_path, 
             digests[root.name, how] = [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in wanted]
     assert len(digests) == 4
     assert len(set(map(tuple, digests.values()))) == 1, digests
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["predict", "--checkpoint", "m.ckpt", "--manifest", "manifest.csv", "--out", "pred.csv"],
+         "no atlas given (flag --atlas or config data.atlas_path)"),
+        (["evaluate"], "evaluate needs --predictions or --checkpoint with cohort data"),
+        (["report"], "report needs --predictions (or use --dump-config alone)"),
+    ],
+    ids=["no-atlas", "evaluate-without-source", "report-without-predictions"],
+)  # fmt: skip
+def test_documented_refusal(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    write_manifest(Cohort([SubjectRecord("s1", 60.0)]), tmp_path / "manifest.csv")
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.csv"]

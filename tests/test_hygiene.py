@@ -2,8 +2,9 @@
 private module-level name of the package is read in the package, every public
 function, class and method of the package is read by the package or the
 benchmark, every ``module.name`` the README names in backticks exists, the
-README's INI example loads as the default configuration, and a failing
-property test reports its example.
+README's INI example loads as the default configuration, the README's
+per-stage graph node counts are the engine's, and a failing property test
+reports its example.
 
 No linter is a dependency, so this walks each module's syntax tree: a name
 an import binds must be read somewhere in that module, as a name, the root
@@ -23,7 +24,9 @@ from pathlib import Path
 
 import pytest
 
+from helpers import stage_graph_nodes
 from pddiag.config import RunConfig, load_config
+from pddiag.synth import SynthConfig, generate_cohort
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "pddiag").glob("*.py"))
@@ -174,6 +177,22 @@ def test_readme_config_example_loads_as_the_defaults(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(block, encoding="utf-8")
     assert load_config(path).values == RunConfig().values
+
+
+def readme_node_counts(readme: str) -> tuple[int, ...]:
+    """The stage-1, stage-2 and stage-3 node counts of the README's "a subject's graph has A, B and C nodes"."""
+    [counts] = re.findall(r"graph\s+has\s+(\d+),\s+(\d+)\s+and\s+(\d+)\s+nodes", readme)
+    return tuple(map(int, counts))
+
+
+def test_readme_node_counts_are_the_engines():
+    cohort, synth_atlas = generate_cohort(SynthConfig(n_subjects=1, dims=(16, 16, 16), seed=3))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert readme_node_counts(readme) == stage_graph_nodes(cohort[0], synth_atlas)
+
+
+def test_readme_node_counts_are_read_across_lines():
+    assert readme_node_counts("so a subject's graph has 17, 9 and\n   24 nodes in stages 1, 2 and 3.") == (17, 9, 24)
 
 
 FAILING_PROPERTY = """

@@ -463,3 +463,10 @@ class TestPipelineRecord:
             '"output_path": "/out/s1.nii", "started_at": 1.5, "steps": {"bias": "failed", "strip": "ran"}, '
             '"subject_id": "s1"}'
         )
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_documented_refusal(tmp_path, jobs):
+    with pytest.raises(ToolConfigError) as caught:
+        run_pipeline([], ToolConfig(cache_dir=str(tmp_path), jobs=jobs))
+    assert str(caught.value) == f"jobs must be >= 1, got {jobs}"

@@ -198,3 +198,10 @@ class TestAgingPrior:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             AgingPriorParams(zeta=math.inf)
+
+
+@pytest.mark.parametrize("entries", [(), []], ids=["tuple", "list"])
+def test_documented_refusal(entries):
+    with pytest.raises(ValueError) as caught:
+        RelevanceTable(entries)
+    assert type(caught.value) is ValueError and str(caught.value) == "relevance table has no entries"

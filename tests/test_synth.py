@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pddiag.aggregator import region_average_pool
+from pddiag.cohort import Cohort, SubjectRecord
 from pddiag.diagnoser import Label
 from pddiag.priors import RelevanceClass
 from pddiag.synth import (
@@ -249,3 +250,29 @@ class TestSplit:
         cohort = self._cohort(5, 5)
         assert split_cohort(cohort, 5, seed=3) == split_cohort(cohort, 5, seed=3)
         assert split_cohort(cohort, 5, seed=3) != split_cohort(cohort, 5, seed=4)
+
+
+def two_unlabeled():
+    return split_cohort(Cohort([SubjectRecord("a", 60.0), SubjectRecord("b", 61.0)]), 2, seed=0)
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: SynthConfig(healthy_fraction=1.5), "healthy_fraction must lie in [0, 1]"),
+        (lambda: SynthConfig(healthy_fraction=-0.25), "healthy_fraction must lie in [0, 1]"),
+        (lambda: SynthConfig(age_min=0.0), "bad age range [0.0, 80.0]"),
+        (lambda: SynthConfig(age_min=60.0, age_max=50.0), "bad age range [60.0, 50.0]"),
+        (lambda: SynthConfig(region_count=0), "region_count must be >= 1"),
+        (lambda: SynthConfig(noise_std=-1.0), "noise_std must be >= 0"),
+        (lambda: split_cohort(generate_cohort(SynthConfig(n_subjects=2, dims=(4, 4, 4)))[0], 3, seed=0),
+         "cohort of 2 cannot fill 3 folds"),
+        (two_unlabeled, "split requires a labeled cohort"),
+    ],
+    ids=["healthy-above-1", "healthy-below-0", "age-min-0", "age-max-below-min", "regions-0", "noise-negative",
+         "fewer-subjects-than-folds", "unlabeled"],
+)  # fmt: skip
+def test_documented_refusal(refused, message):
+    with pytest.raises(ValueError) as caught:
+        refused()
+    assert type(caught.value) is ValueError and str(caught.value) == message

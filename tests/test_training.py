@@ -13,14 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import copy_params, gradient_check, graph_nodes
+from helpers import copy_params, gradient_check, stage_graph_nodes
 from pddiag import autodiff as ad
 from pddiag import forkmap
 from pddiag import training as tr
 from pddiag.aggregator import encode_dense, region_average_pool, upsample_fuse, weighted_aggregate
 from pddiag.cli import main as cli_main
 from pddiag.cohort import Cohort, SubjectRecord, read_manifest
-from pddiag.diagnoser import Label, ce_loss_node, classify, decide, predict_brain_age, total_loss
+from pddiag.diagnoser import Label, decide, squared_error, total_loss
 from pddiag.forkmap import usable_cpus
 from pddiag.priors import AgingPriorParams, load_relevance_table
 from pddiag.synth import SynthConfig, generate_cohort
@@ -138,7 +138,7 @@ class TestGradientCheck:
         w = ad.parameter(np.array(3.0))
 
         def loss():
-            return ad.squared_error(w, 0.0)
+            return squared_error(w, 0.0)
 
         assert gradient_check(loss, [w], probe_count=5, seed=0) < 1e-10
 
@@ -473,20 +473,9 @@ class TestTrainConfig:
 
 class TestTrainStage:
     def test_graph_nodes_per_sample(self, tiny_setup):
-        """The per-sample loss graphs of stages 1-3, counted as the backward engine walks them."""
+        """The per-sample loss graphs of stages 1-3: the declared layers, their parameter leaves and the input."""
         cohort, sa = tiny_setup
-        rec = cohort[0]
-        params = tr.ModelParams.init(4, seed=0)
-        agg = weighted_aggregate(region_average_pool(rec.volume, sa.atlas), sa.table)
-
-        def fused(model):
-            return upsample_fuse(agg, encode_dense(rec.volume, model.encoder), model.fusion)
-
-        stage1 = ce_loss_node(classify(fused(params), params.branch1), rec.label)
-        # stage 2 fits the age branch on fixed features, as train_stage does
-        stage2 = ad.squared_error(predict_brain_age(fused(params.frozen()), params.branch2), rec.age)
-        stage3 = total_loss(fused(params), rec.age, rec.label, params.branch1, params.branch2, PRIOR).node
-        assert (graph_nodes(stage1), graph_nodes(stage2), graph_nodes(stage3)) == (17, 9, 24)
+        assert stage_graph_nodes(cohort[0], sa) == (17, 8, 23)
 
     def test_invalid_stage(self, tiny_setup):
         cohort, sa = tiny_setup
@@ -830,3 +819,35 @@ class TestPredictMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5e6
+
+
+def step_with_too_few_params(_):
+    p = ad.parameter(np.zeros(2))
+    tr.adamw_step([p], tr.OptimState.init([p, p], base_lr=0.1, weight_decay=0.0, total_steps=1))
+
+
+def load_magic_and(extra: int):
+    """Load a checkpoint of the magic and ``extra`` zero bytes, written to the given path."""
+
+    def load(path):
+        path.write_bytes(tr.CHECKPOINT_MAGIC + bytes(extra))
+        tr.load_checkpoint(path)
+
+    return load
+
+
+@pytest.mark.parametrize(
+    "refused, error, message",
+    [
+        (lambda _: tr.cosine_lr(0, 0, 1e-3), ValueError, "total_steps must be >= 1, got 0"),
+        (step_with_too_few_params, tr.ShapeMismatch, "optimizer tracks 2 params, got 1"),
+        (load_magic_and(0), tr.CheckpointError, "truncated metadata length"),
+        (load_magic_and(1), tr.CheckpointError, "truncated metadata length"),
+        (load_magic_and(7), tr.CheckpointError, "truncated metadata length"),
+    ],
+    ids=["cosine-no-steps", "optimizer-param-count", "checkpoint-8-bytes", "checkpoint-9-bytes", "checkpoint-15-bytes"],
+)  # fmt: skip
+def test_documented_refusal(tmp_path, refused, error, message):
+    with pytest.raises(error) as caught:
+        refused(tmp_path / "m.ckpt")
+    assert type(caught.value) is error and str(caught.value) == message

@@ -21,6 +21,7 @@ def build_header_bytes(
     byte_order="<",
     ndim=3,
     pixdim=(1.0, 1.0, 1.0),
+    scl=(0.0, 0.0),
 ):
     """Construct a header independently of the library, field by field."""
     buf = bytearray(348)
@@ -30,6 +31,7 @@ def build_header_bytes(
     struct.pack_into(byte_order + "h", buf, 70, datatype)
     struct.pack_into(byte_order + "8f", buf, 76, 1.0, *pixdim, 0.0, 0.0, 0.0, 0.0)
     struct.pack_into(byte_order + "f", buf, 108, vox_offset)
+    struct.pack_into(byte_order + "2f", buf, 112, *scl)
     buf[344:348] = magic
     return bytes(buf)
 
@@ -87,9 +89,36 @@ class TestParseHeader:
         with pytest.raises(vio.NiftiFormatError, match="not finite"):
             vio.parse_header(build_header_bytes(vox_offset=vox_offset))
 
+    @pytest.mark.parametrize("scl", [(0.0, 0.0), (-0.0, 0.0), (0.0, 7.0), (1.0, 0.0), (1.0, -0.0)])
+    def test_unscaled_header_reads(self, scl):
+        assert vio.parse_header(build_header_bytes(scl=scl)).dims == (16, 16, 16)
+
+    @pytest.mark.parametrize(
+        "scl", [(2.0, 100.0), (1.0, 5.0), (2.0, 0.0), (-1.0, 0.0), (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0)]
+    )
+    def test_intensity_scaling_refused(self, scl):
+        with pytest.raises(vio.NiftiFormatError, match="scl_slope .* scl_inter"):
+            vio.parse_header(build_header_bytes(scl=scl))
+
+    def test_scaled_file_is_not_read_unscaled(self, tmp_path):
+        # a reader that ignored the scaling would return 0, 1, 2, 3, not 100, 102, 104, 106
+        path = tmp_path / "scaled.nii"
+        header = build_header_bytes(dims_xyz=(4, 1, 1), scl=(2.0, 100.0))
+        path.write_bytes(header + b"\x00" * 4 + np.arange(4, dtype="<f4").tobytes())
+        with pytest.raises(vio.NiftiFormatError, match="scl_slope 2.0 and scl_inter 100.0"):
+            vio.read_volume(path)
+
 
 # (byte offset, width) of the header fields the property test overwrites
-MUTABLE_FIELDS = {"dim[0]": (40, 2), "dim[1:4]": (42, 6), "dim[4:8]": (48, 8), "datatype": (70, 2), "vox_offset": (108, 4)}
+MUTABLE_FIELDS = {
+    "dim[0]": (40, 2),
+    "dim[1:4]": (42, 6),
+    "dim[4:8]": (48, 8),
+    "datatype": (70, 2),
+    "vox_offset": (108, 4),
+    "scl_slope": (112, 4),
+    "scl_inter": (116, 4),
+}
 
 
 class TestMutatedHeaders:
@@ -371,3 +400,24 @@ class TestAtlas:
         labels = np.full((4, 4, 4), 5, dtype=np.int64)
         with pytest.raises(ValueError, match=r"\[0, 3\]"):
             vio.AtlasVolume(labels=labels, region_count=3)
+
+
+@pytest.mark.parametrize(
+    "refused, error, message",
+    [
+        (lambda: vio.VolumeHeader(dims=(2, 2, 2), endianness="middle"), vio.NiftiFormatError,
+         "endianness must be 'little' or 'big', got 'middle'"),
+        (lambda: vio.Volume3D(header=vio.VolumeHeader(dims=(2, 2, 2)), data=np.zeros((2, 2, 3))), ValueError,
+         "data shape (2, 2, 3) != header dims (2, 2, 2)"),
+        (lambda: vio.Volume3D.from_array(np.zeros((2, 2))), ValueError, "expected a 3-D array, got ndim=2"),
+        (lambda: vio.AtlasVolume(labels=np.ones((2, 2, 2)), region_count=1), ValueError,
+         "atlas labels must be integers, got dtype float64"),
+        (lambda: vio.AtlasVolume(labels=np.ones((2, 2), dtype=np.int64), region_count=1), ValueError,
+         "atlas must be 3-D, got ndim=2"),
+    ],
+    ids=["endianness", "data-not-header-dims", "from-2d-array", "float-atlas", "2d-atlas"],
+)  # fmt: skip
+def test_documented_refusal(refused, error, message):
+    with pytest.raises(error) as caught:
+        refused()
+    assert type(caught.value) is error and str(caught.value) == message
