@@ -3,26 +3,25 @@
 Every command reads an optional INI config (see config.SCHEMA for keys and
 defaults); flags override file values. All randomness flows from explicit
 seeds, never the clock, so identical invocations produce identical outputs.
+The library writes every file: ``synth`` runs ``synth.write_cohort``, and
+every CSV goes through ``csvtable.write_rows``.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
-import re
 import sys
 import traceback
 from pathlib import Path
 
 from .atomic import replacing
-from .cohort import Cohort, SubjectRecord, read_manifest, write_manifest
+from .cohort import Cohort, read_manifest, write_manifest
 from .config import SCHEMA, RunConfig, load_config
 from .csvtable import read_rows, write_rows
 from .diagnoser import Label
-from .forkmap import map_chunks, worker_count
 from .preprocess import run_pipeline
-from .priors import default_relevance_table, load_relevance_table, save_relevance_table
-from .synth import make_synth_atlas, split_cohort, synth_subject
+from .priors import default_relevance_table, load_relevance_table
+from .synth import split_cohort, write_cohort
 from .training import (
     STAGE_PARTS,
     Metrics,
@@ -39,7 +38,7 @@ from .training import (
     train_stage,
     write_loss_trace,
 )
-from .volume_io import read_atlas, write_atlas, write_volume
+from .volume_io import read_atlas
 
 PREDICTION_FIELDS = ["subject_id", "label", "p_pd", "delta", "predicted_age", "decision"]
 
@@ -115,52 +114,8 @@ def read_predictions(path) -> list[PredictionRecord]:
 
 
 def cmd_synth(args) -> int:
-    """Write a synth cohort one subject at a time, so memory peaks at about one volume per process whatever ``--n`` is.
-
-    Subjects are drawn and written over ``forkmap.worker_count`` contiguous
-    ranges of indices, one per CPU of the affinity mask: range 0 here, the
-    others in processes forked by ``forkmap.map_chunks`` (only from a process
-    of one OS thread, so on several CPUs under ``OPENBLAS_NUM_THREADS=1``).
-    Subject i draws from its own stream, so the files are byte-identical for
-    any split. The atlas, relevance table and manifest are written last, and
-    a manifest left by an earlier run is removed first: a directory without
-    ``manifest.csv`` is an incomplete cohort. If a writer fails, the
-    ``s<digits>.nii.tmp`` files of writers cut short are removed. Volumes an
-    earlier, larger run named ``s<digits>.nii`` are removed before the
-    manifest is written; other files in ``volumes/`` are left alone.
-    """
-    scfg = _config(args).synth_config()
-    satlas = make_synth_atlas(scfg.dims, scfg.region_count)
     out = Path(args.out)
-    volumes = out / "volumes"
-    volumes.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.csv").unlink(missing_ok=True)
-
-    def write(indices: list[int]) -> list[SubjectRecord]:
-        records = []
-        for i in indices:
-            rec = synth_subject(scfg, satlas, i)
-            rec.path = f"volumes/{rec.subject_id}.nii"
-            write_volume(rec.volume, out / rec.path)
-            rec.volume = None
-            records.append(rec)
-        return records
-
-    n = scfg.n_subjects
-    try:
-        subjects = map_chunks(write, list(range(n)), worker_count(n, math.prod(scfg.dims)))
-    except BaseException:
-        for tmp in volumes.iterdir():
-            if re.fullmatch(r"s\d+\.nii\.tmp", tmp.name):
-                tmp.unlink(missing_ok=True)
-        raise
-    written = {f"{rec.subject_id}.nii" for rec in subjects}
-    for stale in volumes.iterdir():
-        if re.fullmatch(r"s\d+\.nii", stale.name) and stale.name not in written:
-            stale.unlink()
-    write_atlas(satlas.atlas, out / "atlas.nii")
-    save_relevance_table(satlas.table, out / "relevance.csv")
-    write_manifest(Cohort(subjects), out / "manifest.csv")
+    write_cohort(_config(args).synth_config(), out)
     print(f"cohort: {out / 'manifest.csv'}")
     print(f"atlas: {out / 'atlas.nii'}")
     print(f"relevance: {out / 'relevance.csv'}")
@@ -296,14 +251,14 @@ def cmd_report(args) -> int:
         raise ValueError("report needs --predictions (or use --dump-config alone)")
     records = read_predictions(args.predictions)
     metrics = metrics_from_records(records)
+    # built before anything is printed, so predictions of one class are refused first
+    roc = roc_points([r.p_pd for r in records], [r.label for r in records]) if args.out_roc else None
     print("confusion matrix (rows: truth, cols: decision)")
     print("           pd    other")
     print(f"pd       {metrics.tp:4d}    {metrics.fn:4d}")
     print(f"other    {metrics.fp:4d}    {metrics.tn:4d}")
     if args.out_roc:
-        rows = roc_points([r.p_pd for r in records], [r.label for r in records])
-        with replacing(args.out_roc) as tmp, open(tmp, "w", newline="") as fh:
-            fh.writelines(["fpr,tpr,threshold\n", *(",".join(map(repr, row)) + "\n" for row in rows)])
+        write_rows(args.out_roc, ["fpr", "tpr", "threshold"], roc, lineterminator="\n")
         print(f"roc: {args.out_roc}")
     return 0
 

@@ -1,4 +1,6 @@
-"""The CSV tables pddiag reads and writes: a header row of fixed field names, then one row per record."""
+"""The CSV tables pddiag reads and writes: a header row of fixed field names, then one row per record.
+
+``write_rows`` writes every CSV pddiag makes; only loss traces and ROC files end lines in LF, not CRLF."""
 
 from __future__ import annotations
 
@@ -31,9 +33,9 @@ def read_rows(path, fields: list[str], parse) -> list:
     return records
 
 
-def write_rows(path, fields: list[str], rows) -> None:
-    """Replace ``path`` with the header and ``rows`` in UTF-8, CRLF-terminated as csv.writer writes them."""
+def write_rows(path, fields: list[str], rows, lineterminator: str = "\r\n") -> None:
+    """Replace ``path`` with the header and ``rows`` in UTF-8, as csv.writer does (a float's repr, None empty)."""
     with replacing(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator=lineterminator)
         writer.writerow(fields)
         writer.writerows(rows)

@@ -1,7 +1,7 @@
 """Map a function over contiguous chunks of a list, one chunk per forked process.
 
 Two callers use it: ``training.predict`` screens a cohort's subjects and
-``cli.cmd_synth`` writes a synth cohort's volumes, each over
+``synth.write_cohort`` writes a synth cohort's volumes, each over
 ``worker_count(n, voxels)`` chunks: one per CPU of the affinity mask, one
 item and ``_MIN_VOXELS_PER_WORKER`` voxels each.
 

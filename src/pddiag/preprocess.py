@@ -3,8 +3,8 @@
 The pipeline shells out to configurable commands for skull stripping, bias
 field correction, and registration to a standard template, in the fixed
 order of ``STEPS``, each step reading the previous step's output. Results
-are cached by a digest of the raw input plus the resolved command strings,
-so rerunning is free and changing a tool or flag invalidates the cache.
+are cached by a digest of the raw input, the command strings and the template
+file's path and bytes, so rerunning is free and changing any of them reruns.
 The manifest is a JSON-lines file; a record is appended only after the
 subject's final output is in place, which keeps a killed run from claiming
 unfinished work. A subject's work directory is removed when the subject
@@ -100,7 +100,7 @@ def _load_manifest(path: Path) -> dict[str, dict]:
 
 class _Runner:
     def __init__(self, cfg: ToolConfig):
-        """Check every template and ``jobs`` before any subject runs; a bad one is a ``ToolConfigError``."""
+        """Check the commands, ``jobs`` and the template file before any subject runs; a bad one is ToolConfigError."""
         if cfg.jobs < 1:
             raise ToolConfigError(f"jobs must be >= 1, got {cfg.jobs}")
         self.cfg = cfg
@@ -128,6 +128,12 @@ class _Runner:
                 raise ToolConfigError(msg) from exc
         # resolved once per program and run; a missing program still fails each step that runs it
         self.which = functools.lru_cache(maxsize=None)(shutil.which)
+        # read once per run, so a template edited in place invalidates the cache; a path naming no file keys alone
+        template = Path(cfg.template_path)
+        try:
+            self.template_digest = _sha256_file(template) if template.is_file() else ""
+        except OSError as exc:
+            raise ToolConfigError(f"cannot read template {cfg.template_path}: {exc}") from exc
 
     def cache_key(self, raw_digest: str) -> str:
         h = hashlib.sha256()
@@ -135,6 +141,7 @@ class _Runner:
         for cmd in self.cfg.commands():
             h.update(cmd.encode())
         h.update(str(self.cfg.template_path).encode())
+        h.update(self.template_digest.encode())
         return h.hexdigest()
 
     def fill(self, tokens: list[str], input_path, output_path) -> list[str]:

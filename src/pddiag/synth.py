@@ -9,16 +9,18 @@ acceleration. Pooling a noise-free subject therefore recovers
 from __future__ import annotations
 
 import math
+import re
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
-from .cohort import Cohort, SubjectRecord
+from .cohort import Cohort, SubjectRecord, write_manifest
 from .diagnoser import Label
-from .priors import RegionEntry, RelevanceClass, RelevanceTable, default_relevance_table
-from .volume_io import AtlasVolume, Volume3D
+from .forkmap import map_chunks, worker_count
+from .priors import RegionEntry, RelevanceClass, RelevanceTable, default_relevance_table, save_relevance_table
+from .volume_io import AtlasVolume, Volume3D, write_atlas, write_volume
 
 # Margin the default aging prior expects between the PD and non-PD hinge zones.
 _DEFAULT_HINGE_GAP = 5.0
@@ -160,15 +162,57 @@ def synth_subject(cfg: SynthConfig, synth_atlas: SynthAtlas, i: int) -> SubjectR
     return SubjectRecord(subject_id=f"s{i:04d}", age=age, label=label, is_healthy=healthy, volume=volume)
 
 
-def iter_subjects(cfg: SynthConfig, synth_atlas: SynthAtlas) -> Iterator[SubjectRecord]:
-    """Yield ``synth_subject`` for each index in turn."""
-    return (synth_subject(cfg, synth_atlas, i) for i in range(cfg.n_subjects))
-
-
 def generate_cohort(cfg: SynthConfig) -> tuple[Cohort, SynthAtlas]:
-    """The whole cohort in memory, as ``iter_subjects`` yields it, and its atlas."""
+    """The whole cohort in memory, subject i drawn by ``synth_subject``, and its atlas."""
     synth_atlas = make_synth_atlas(cfg.dims, cfg.region_count)
-    return Cohort(iter_subjects(cfg, synth_atlas)), synth_atlas
+    return Cohort(synth_subject(cfg, synth_atlas, i) for i in range(cfg.n_subjects)), synth_atlas
+
+
+def write_cohort(cfg: SynthConfig, out) -> None:
+    """Write ``volumes/s<i>.nii``, ``atlas.nii``, ``relevance.csv`` and ``manifest.csv`` under ``out``.
+
+    It is what ``pddiag synth`` runs. Subjects are drawn and written one at
+    a time, so memory peaks at about one volume per process whatever
+    ``n_subjects`` is, over ``forkmap.worker_count`` contiguous ranges of
+    indices: range 0 here, the others in processes forked by
+    ``forkmap.map_chunks``. Subject i draws from its own stream, so the files
+    are byte-identical for any split. A manifest left by an earlier run is
+    removed first and the atlas, relevance table and manifest are written
+    last: a directory without ``manifest.csv`` is an incomplete cohort. If a
+    writer fails, the ``s<digits>.nii.tmp`` files of writers cut short are
+    removed. Volumes an earlier, larger run named ``s<digits>.nii`` are
+    removed before the manifest is written; other files in ``volumes/`` are
+    left alone.
+    """
+    synth_atlas = make_synth_atlas(cfg.dims, cfg.region_count)
+    out = Path(out)
+    volumes = out / "volumes"
+    volumes.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.csv").unlink(missing_ok=True)
+
+    def write(i: int) -> SubjectRecord:
+        rec = synth_subject(cfg, synth_atlas, i)
+        rec.path = f"volumes/{rec.subject_id}.nii"
+        write_volume(rec.volume, out / rec.path)
+        rec.volume = None
+        return rec
+
+    n = cfg.n_subjects
+    workers = worker_count(n, math.prod(cfg.dims))
+    try:
+        subjects = map_chunks(lambda chunk: [write(i) for i in chunk], list(range(n)), workers)
+    except BaseException:
+        for tmp in volumes.iterdir():
+            if re.fullmatch(r"s\d+\.nii\.tmp", tmp.name):
+                tmp.unlink(missing_ok=True)
+        raise
+    written = {f"{rec.subject_id}.nii" for rec in subjects}
+    for stale in volumes.iterdir():
+        if re.fullmatch(r"s\d+\.nii", stale.name) and stale.name not in written:
+            stale.unlink()
+    write_atlas(synth_atlas.atlas, out / "atlas.nii")
+    save_relevance_table(synth_atlas.table, out / "relevance.csv")
+    write_manifest(Cohort(subjects), out / "manifest.csv")
 
 
 def split_cohort(cohort: Cohort, folds: int, seed: int) -> list[tuple[list[int], list[int]]]:

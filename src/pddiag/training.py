@@ -24,14 +24,14 @@ arrays, so they build no autodiff graph and ``conv3d_down`` takes its
 cache-blocked path. ``predict`` streams the cohort: each subject's volume is
 read, screened and dropped in turn, so a worker holds about one volume of
 working memory however long the cohort is. It splits the cohort into
-``forkmap.worker_count`` contiguous chunks, by the rule that ``cli.cmd_synth``
-follows too (one per CPU of the affinity mask, at least 2²⁰ voxels each),
-and screens chunk 0 here and the others in processes forked by
-``forkmap.map_chunks``, which forks only on Linux and only from a process of
-one OS thread (``forkmap.fork_usable``), so with numpy's OpenBLAS pool on
-several CPUs screening needs ``OPENBLAS_NUM_THREADS=1``; otherwise it runs
-in one process, as under ``taskset -c 0``. The records are byte-identical
-for any worker count.
+``forkmap.worker_count`` contiguous chunks, by the rule that
+``synth.write_cohort`` follows too (one per CPU of the affinity mask, at
+least 2²⁰ voxels each), and screens chunk 0 here and the others in
+processes forked by ``forkmap.map_chunks``, which forks only on Linux and
+only from a process of one OS thread (``forkmap.fork_usable``), so with
+numpy's OpenBLAS pool on several CPUs screening needs
+``OPENBLAS_NUM_THREADS=1``; otherwise it runs in one process, as under
+``taskset -c 0``. The records are byte-identical for any worker count.
 Both read a volume through ``SubjectRecord.load_volume``, which keeps none on
 the record: ``train_stage`` holds its subjects' arrays only while it runs.
 """
@@ -62,6 +62,7 @@ from .aggregator import (
 )
 from .atomic import replacing
 from .cohort import Cohort, SubjectRecord
+from .csvtable import write_rows
 from .diagnoser import BranchParams, Label, ce_loss_node, classify, decide, head, predict_brain_age, squared_error, total_loss
 from .forkmap import map_chunks, worker_count
 from .priors import AgingPriorParams, RelevanceTable
@@ -258,12 +259,9 @@ class _Prepared:
     agg: AggregatedFeature
 
 
-def _prepare_one(rec: SubjectRecord, vol, atlas: AtlasVolume, table: RelevanceTable) -> _Prepared:
+def _prepare_one(rec: SubjectRecord, atlas: AtlasVolume, table: RelevanceTable) -> _Prepared:
+    vol = rec.load_volume()
     return _Prepared(record=rec, array=vol.data, agg=weighted_aggregate(region_average_pool(vol, atlas), table))
-
-
-def _prepare(cohort: Cohort, atlas: AtlasVolume, table: RelevanceTable) -> list[_Prepared]:
-    return [_prepare_one(rec, rec.load_volume(), atlas, table) for rec in cohort]
 
 
 def _fused(prep: _Prepared, model: ModelParams) -> Tensor:
@@ -287,14 +285,10 @@ def train_stage(
     if not cohort.labeled():
         raise ValueError("training cohort must be fully labeled")
 
-    if stage == 2:
-        subjects = Cohort([s for s in cohort if s.label is Label.OTHER and s.is_healthy])
-        if len(subjects) == 0:
-            raise EmptyCohort("stage 2 needs healthy non-PD subjects, found none")
-    else:
-        subjects = cohort
-
-    prepared = _prepare(subjects, atlas, table)
+    subjects = [s for s in cohort if stage != 2 or (s.label is Label.OTHER and s.is_healthy)]
+    if not subjects:
+        raise EmptyCohort("stage 2 needs healthy non-PD subjects, found none")
+    prepared = [_prepare_one(rec, atlas, table) for rec in subjects]
     if stage == 2:
         frozen = params.frozen()
         fixed = [_fused(p, frozen) for p in prepared]
@@ -340,12 +334,9 @@ def train_stage(
 
 
 def write_loss_trace(trace: list[EpochTrace], path) -> None:
-    with replacing(path) as tmp, open(tmp, "w", newline="") as fh:
-        fh.write("epoch,loss,age_loss,cls_loss\n")
-        for t in trace:
-            age = "" if t.age_loss is None else repr(t.age_loss)
-            cls = "" if t.cls_loss is None else repr(t.cls_loss)
-            fh.write(f"{t.epoch},{t.loss!r},{age},{cls}\n")
+    """One LF-terminated row per epoch; a loss the stage does not compute is an empty field."""
+    rows = ([t.epoch, t.loss, t.age_loss, t.cls_loss] for t in trace)
+    write_rows(path, ["epoch", "loss", "age_loss", "cls_loss"], rows, lineterminator="\n")
 
 
 @dataclass
@@ -419,7 +410,7 @@ def predict(
     def screen(subjects: list[SubjectRecord]) -> list[PredictionRecord]:
         records = []
         for rec in subjects:
-            fused = _fused(_prepare_one(rec, rec.load_volume(), atlas, table), model)
+            fused = _fused(_prepare_one(rec, atlas, table), model)
             out = head(fused, rec.age, model.branch1, model.branch2, prior)
             decision, p_pd = decide(out.corrected)
             records.append(
@@ -434,8 +425,7 @@ def predict(
             )
         return records
 
-    subjects = list(cohort)
-    return map_chunks(screen, subjects, worker_count(len(subjects), atlas.labels.size))
+    return map_chunks(screen, cohort, worker_count(len(cohort), atlas.labels.size))
 
 
 def metrics_from_records(records: list[PredictionRecord]) -> Metrics:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pddiag import cli, forkmap
+from pddiag import cli, forkmap, synth
 from pddiag import cohort as cohort_module
 from pddiag.atomic import replacing
 from pddiag.cli import PREDICTION_FIELDS, _config, build_parser, main, read_predictions, write_predictions
@@ -119,7 +119,7 @@ class TestSynthCommand:
                 raise OSError("disk full")
             write_volume(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "write_volume", failing_second_write)
+        monkeypatch.setattr(synth, "write_volume", failing_second_write)
         assert run_cli("synth", "--out", tmp_path / "o", "--n", 4, "--dims", 8, "--seed", 2) == 1
         assert "disk full" in capsys.readouterr().err
         assert len(calls) == 2
@@ -143,7 +143,7 @@ class TestSynthCommand:
             Path(f"{path}.pid").write_text(str(os.getpid()))
             write_volume(volume, path)
 
-        monkeypatch.setattr(cli, "write_volume", recording_write)
+        monkeypatch.setattr(synth, "write_volume", recording_write)
         trees = {}
         for k in (1, 2, 3):
             split_into(k)
@@ -161,7 +161,7 @@ class TestSynthCommand:
 
     @staticmethod
     def _failing_writer(monkeypatch, subject_id: str, fail) -> None:
-        """Make ``cli.write_volume`` start ``subject_id``'s file and then call ``fail``, in a child only."""
+        """Make ``synth.write_volume`` start ``subject_id``'s file and then call ``fail``, in a child only."""
         parent = os.getpid()
 
         def write(volume, path):
@@ -171,7 +171,7 @@ class TestSynthCommand:
                     fail()
             write_volume(volume, path)
 
-        monkeypatch.setattr(cli, "write_volume", write)
+        monkeypatch.setattr(synth, "write_volume", write)
 
     def _assert_incomplete(self, out: Path) -> None:
         assert not (out / "manifest.csv").exists()
@@ -229,7 +229,7 @@ class TestDebugFlag:
                 raise OSError("disk full")
             write_volume(volume, path)
 
-        monkeypatch.setattr(cli, "write_volume", write)
+        monkeypatch.setattr(synth, "write_volume", write)
         split_into(2)
         assert run_cli("--debug", "synth", "--out", tmp_path / "o", "--n", 4, "--dims", 8) == 1
         err = capsys.readouterr().err
@@ -455,6 +455,18 @@ class TestPredictEvaluateReport:
         roc = tmp_path / "roc.csv"
         assert run_cli("report", "--predictions", fixture, "--out-roc", roc) == 1
         assert "predict" in capsys.readouterr().err
+        assert not roc.exists()
+
+    def test_report_one_class_prints_nothing_and_writes_no_roc(self, tmp_path, capsys):
+        fixture = tmp_path / "pd_only.csv"
+        fixture.write_text(
+            "subject_id,label,p_pd,delta,predicted_age,decision\ns0,pd,0.9,1.0,66.0,pd\ns1,pd,0.2,0.0,65.0,other\n"
+        )
+        roc = tmp_path / "roc.csv"
+        assert run_cli("report", "--predictions", fixture, "--out-roc", roc) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: ROC needs at least one positive and one negative\n"
         assert not roc.exists()
 
 

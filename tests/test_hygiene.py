@@ -1,8 +1,9 @@
 """Source hygiene: every import in the package and its tests is used, every
 private module-level name of the package is read in the package, every public
 function, class and method of the package is read by the package or the
-benchmark, every ``module.name`` the README names in backticks exists, the
-README's INI example loads as the default configuration, the README's
+benchmark, every ``module.name`` the README names in backticks exists, every
+name its Python examples import from ``pddiag`` exists, the README's INI
+example loads as the default configuration, the README's
 per-stage graph node counts are the engine's, and a failing property test
 reports its example.
 
@@ -170,6 +171,32 @@ def test_readme_names_resolve():
 def test_unresolved_readme_name_is_caught():
     readme = "`training.evaluate` and `training.no_such_name`, `os.path`, `ToolConfig.template_path`, `pred.csv`\n"
     assert unresolved_readme_names(readme) == ["training.no_such_name"]
+
+
+def unresolved_readme_imports(readme: str) -> list[str]:
+    """``module.name`` for each ``from pddiag... import name`` in README's Python blocks that does not resolve."""
+    missing = []
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pddiag":
+                try:
+                    module = importlib.import_module(node.module)
+                except ModuleNotFoundError:
+                    module = None
+                missing += [f"{node.module}.{alias.name}" for alias in node.names if not hasattr(module, alias.name)]
+    return sorted(missing)
+
+
+def test_readme_imports_resolve():
+    assert unresolved_readme_imports((ROOT / "README.md").read_text(encoding="utf-8")) == []
+
+
+def test_unresolved_readme_import_is_caught():
+    readme = (
+        "```python\nfrom pddiag.synth import (SynthConfig,\n    no_such_name)\nfrom pddiag.nowhere import thing\n"
+        "import os\n```\n```ini\nfrom pddiag.synth import not_python\n```\n"
+    )
+    assert unresolved_readme_imports(readme) == ["pddiag.nowhere.thing", "pddiag.synth.no_such_name"]
 
 
 def test_readme_config_example_loads_as_the_defaults(tmp_path):

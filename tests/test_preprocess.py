@@ -331,9 +331,9 @@ class TestRunPipeline:
         [rec] = run_pipeline([raw], cfg)
         assert rec.ok, rec.error
         assert Path(rec.output_path).read_bytes() == b"RAW-1"
-        # the cache key still hashes the raw templates
+        # the cache key still hashes the raw templates, then the template file's digest
         key = hashlib.sha256(hashlib.sha256(b"RAW-1").hexdigest().encode())
-        for cmd in (*cfg.commands(), cfg.template_path):
+        for cmd in (*cfg.commands(), cfg.template_path, hashlib.sha256(b"TEMPLATE").hexdigest()):
             key.update(cmd.encode())
         assert rec.cache_key == key.hexdigest()
 
@@ -352,6 +352,41 @@ class TestRunPipeline:
         assert rec.ok, rec.error
         assert rec.cache_key == "80c17b41b83dffa840b9fc3445cf90898f7849d0d1bf4206e160e17302026bad"
         assert rec.digest == hashlib.sha256(b"RAW-1").hexdigest()
+
+    def test_template_edited_in_place_reruns_the_steps(self, tmp_path):
+        raw = tmp_path / "s1.nii"
+        raw.write_bytes(b"RAW-1")
+        template = tmp_path / "template.nii"
+        template.write_bytes(b"TEMPLATE-A")
+        cfg = ToolConfig(
+            strip_cmd="cp {input} {output}",
+            bias_cmd="cp {input} {output}",
+            register_cmd="""sh -c 'cat "$0" "$2" > "$1"' {input} {output} {template}""",
+            template_path=str(template),
+            cache_dir=str(tmp_path / "cache"),
+        )
+        [first] = run_pipeline([raw], cfg)
+        assert Path(first.output_path).read_bytes() == b"RAW-1TEMPLATE-A"
+        template.write_bytes(b"TEMPLATE-B")
+        [second] = run_pipeline([raw], cfg)
+        assert second.steps == {step: "ran" for step in preprocess.STEPS}
+        assert second.cache_key != first.cache_key
+        assert Path(second.output_path).read_bytes() == b"RAW-1TEMPLATE-B"
+
+    def test_unreadable_template_rejected_before_any_subject(self, harness, monkeypatch):
+        real = preprocess._sha256_file
+
+        def sha256_file(path):
+            if Path(path) == harness.template:
+                raise PermissionError(13, "Permission denied", str(path))
+            return real(path)
+
+        monkeypatch.setattr(preprocess, "_sha256_file", sha256_file)
+        cfg = harness.config()
+        with pytest.raises(ToolConfigError, match="cannot read template .*Permission denied"):
+            run_pipeline(harness.subjects(2), cfg)
+        assert harness.invocations() == 0
+        assert not (Path(cfg.cache_dir) / "manifest.jsonl").exists()
 
     def test_each_step_reads_the_previous_output(self, harness):
         [raw] = harness.subjects(1)

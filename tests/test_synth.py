@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pddiag.aggregator import region_average_pool
-from pddiag.cohort import Cohort, SubjectRecord
+from pddiag.cohort import Cohort, SubjectRecord, read_manifest
 from pddiag.diagnoser import Label
 from pddiag.priors import RelevanceClass
 from pddiag.synth import (
@@ -12,13 +12,13 @@ from pddiag.synth import (
     SynthConfig,
     effective_region_ages,
     generate_cohort,
-    iter_subjects,
     make_synth_atlas,
     split_cohort,
     synth_subject,
     synth_volume,
+    write_cohort,
 )
-from pddiag.volume_io import AtlasVolume
+from pddiag.volume_io import AtlasVolume, read_atlas
 
 
 class TestConfig:
@@ -118,14 +118,18 @@ class TestGeneration:
         assert len(cohort) == 0
         assert sa.atlas.region_count == 48
 
-    def test_iter_subjects_matches_generate_cohort(self):
+    def test_write_cohort_matches_generate_cohort(self, tmp_path):
         cfg = SynthConfig(n_subjects=7, dims=(8, 8, 8), pd_fraction=0.3, healthy_fraction=0.6, seed=2)
         cohort, sa = generate_cohort(cfg)
-        streamed = list(iter_subjects(cfg, sa))
-        assert [(s.subject_id, s.age, s.label, s.is_healthy) for s in streamed] == [
+        write_cohort(cfg, tmp_path)
+        written = read_manifest(tmp_path / "manifest.csv")
+        assert [(s.subject_id, s.age, s.label, s.is_healthy) for s in written] == [
             (s.subject_id, s.age, s.label, s.is_healthy) for s in cohort
         ]
-        assert all(a.volume.data.tobytes() == b.volume.data.tobytes() for a, b in zip(streamed, cohort))
+        # volumes are stored as float32
+        for a, b in zip(written, cohort):
+            assert a.load_volume().data.tobytes() == b.volume.data.astype(np.float32).astype(np.float64).tobytes()
+        assert np.array_equal(read_atlas(tmp_path / "atlas.nii", region_count=cfg.region_count).labels, sa.atlas.labels)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -135,20 +139,20 @@ class TestGeneration:
         healthy_fraction=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32),
     )
-    def test_synth_subject_is_the_ith_streamed_subject(self, data, n, pd_fraction, healthy_fraction, seed):
+    def test_synth_subject_is_the_ith_generated_subject(self, data, n, pd_fraction, healthy_fraction, seed):
         # what lets pddiag synth write any split of the indices in any process
         cfg = SynthConfig(
             n_subjects=n, dims=(8, 8, 8), pd_fraction=pd_fraction, healthy_fraction=healthy_fraction, seed=seed
         )
         sa = make_synth_atlas(cfg.dims, cfg.region_count)
-        streamed = list(iter_subjects(cfg, sa))
+        generated, _ = generate_cohort(cfg)
         indices = data.draw(st.lists(st.sampled_from(range(n)), unique=True) if n else st.just([]))
 
         def bits(s):
             return s.subject_id, s.age.hex(), s.label, s.is_healthy, s.volume.data.dtype, s.volume.data.tobytes()
 
         for i in indices:
-            assert bits(synth_subject(cfg, sa, i)) == bits(streamed[i])
+            assert bits(synth_subject(cfg, sa, i)) == bits(generated[i])
 
     def test_background_label_reads_zero(self):
         cfg = SynthConfig(n_subjects=1, dims=(8, 8, 8), noise_std=0.0)

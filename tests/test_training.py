@@ -454,6 +454,23 @@ class TestCheckpoints:
         assert not (tmp_path / "m.ckpt.tmp").exists()
 
 
+def test_loss_trace_bytes(tmp_path):
+    # built by hand, so the expected bytes hold whatever BLAS kernel runs the tests
+    trace = [
+        tr.EpochTrace(epoch=0, loss=0.1 + 0.2),
+        tr.EpochTrace(epoch=1, loss=1e-300, age_loss=2.5, cls_loss=-0.0),
+        tr.EpochTrace(epoch=2, loss=math.inf, age_loss=None, cls_loss=1 / 3),
+    ]
+    path = tmp_path / "trace.csv"
+    tr.write_loss_trace(trace, path)
+    assert path.read_bytes() == (
+        b"epoch,loss,age_loss,cls_loss\n"
+        b"0,0.30000000000000004,,\n"
+        b"1,1e-300,2.5,-0.0\n"
+        b"2,inf,,0.3333333333333333\n"
+    )
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize(
         "setting, value",
