@@ -86,7 +86,7 @@ def _load_data(cfg: RunConfig):
 def write_predictions(records: list[PredictionRecord], path) -> None:
     def row(r: PredictionRecord) -> list:
         label = r.label.value if r.label else ""
-        return [r.subject_id, label, repr(r.p_pd), repr(r.delta), repr(r.predicted_age), r.decision.value]
+        return [r.subject_id, label, r.p_pd, r.delta, r.predicted_age, r.decision.value]
 
     write_rows(path, PREDICTION_FIELDS, map(row, records))
 
@@ -243,16 +243,17 @@ def cmd_report(args) -> int:
     cfg = _config(args)
     if args.out_roc and not args.predictions:
         raise ValueError("report --out-roc needs --predictions")
-    if args.dump_config:
-        sys.stdout.write(cfg.dump())
-        if not args.predictions:
-            return 0
     if not args.predictions:
-        raise ValueError("report needs --predictions (or use --dump-config alone)")
+        if not args.dump_config:
+            raise ValueError("report needs --predictions (or use --dump-config alone)")
+        sys.stdout.write(cfg.dump())
+        return 0
+    # read, scored and swept before anything is printed, so every refusal comes first
     records = read_predictions(args.predictions)
     metrics = metrics_from_records(records)
-    # built before anything is printed, so predictions of one class are refused first
     roc = roc_points([r.p_pd for r in records], [r.label for r in records]) if args.out_roc else None
+    if args.dump_config:
+        sys.stdout.write(cfg.dump())
     print("confusion matrix (rows: truth, cols: decision)")
     print("           pd    other")
     print(f"pd       {metrics.tp:4d}    {metrics.fn:4d}")

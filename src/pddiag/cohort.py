@@ -54,7 +54,7 @@ HEALTHY_TOKENS = {"1": True, "true": True, "True": True, "0": False, "false": Fa
 
 def write_manifest(cohort: Cohort, path) -> None:
     def row(s: SubjectRecord) -> list:
-        return [s.subject_id, s.path or "", repr(float(s.age)), s.label.value if s.label else "", int(s.is_healthy)]
+        return [s.subject_id, s.path or "", float(s.age), s.label.value if s.label else "", int(s.is_healthy)]
 
     write_rows(path, MANIFEST_FIELDS, map(row, cohort))
 

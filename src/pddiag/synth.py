@@ -19,11 +19,13 @@ import numpy as np
 from .cohort import Cohort, SubjectRecord, write_manifest
 from .diagnoser import Label
 from .forkmap import map_chunks, worker_count
-from .priors import RegionEntry, RelevanceClass, RelevanceTable, default_relevance_table, save_relevance_table
+from .priors import (
+    AgingPriorParams, RegionEntry, RelevanceClass, RelevanceTable, default_relevance_table, save_relevance_table
+)
 from .volume_io import AtlasVolume, Volume3D, write_atlas, write_volume
 
 # Margin the default aging prior expects between the PD and non-PD hinge zones.
-_DEFAULT_HINGE_GAP = 5.0
+_DEFAULT_HINGE_GAP = AgingPriorParams.zeta - AgingPriorParams.tau
 
 
 @dataclass(frozen=True)

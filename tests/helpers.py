@@ -1,17 +1,19 @@
 """Helpers the test modules share: finite-difference gradient checks, reference formulas and small fixtures."""
 
 import math
+from unittest import mock
 
 import numpy as np
 
 import dataclasses
 
 from pddiag import autodiff as ad
-from pddiag.aggregator import FusionProjection, encode_dense, region_average_pool, upsample_fuse, weighted_aggregate
+from pddiag.aggregator import FusionProjection
 from pddiag.autodiff import Tensor
-from pddiag.diagnoser import ce_loss_node, classify, predict_brain_age, squared_error, total_loss
+from pddiag.cohort import Cohort
+from pddiag.diagnoser import Label
 from pddiag.priors import AgingPriorParams
-from pddiag.training import ModelParams
+from pddiag.training import ModelParams, TrainConfig, train_stage
 
 
 def tsum(a: Tensor) -> Tensor:
@@ -83,19 +85,23 @@ def graph_nodes(root: Tensor) -> int:
 
 
 def stage_graph_nodes(record, synth_atlas) -> tuple[int, int, int]:
-    """Nodes of one subject's stage-1, stage-2 and stage-3 loss graphs, counted as the backward engine walks them."""
-    params = ModelParams.init(4, seed=0)
-    agg = weighted_aggregate(region_average_pool(record.volume, synth_atlas.atlas), synth_atlas.table)
+    """Nodes of the loss graphs train_stage hands the backward engine in stages 1, 2 and 3, for one subject.
 
-    def fused(model):
-        return upsample_fuse(agg, encode_dense(record.volume, model.encoder), model.fusion)
+    The subject is made healthy OTHER, so that stage 2 trains on it too; a
+    label enters a loss only through its values, not its graph.
+    """
+    cohort = Cohort([dataclasses.replace(record, label=Label.OTHER, is_healthy=True)])
+    params, config = ModelParams.init(4, seed=0), TrainConfig(epochs=1, batch=1)
+    counts, engine = [], ad.backward
 
-    stage1 = ce_loss_node(classify(fused(params), params.branch1), record.label)
-    # stage 2 fits the age branch on fixed features, as train_stage does
-    stage2 = squared_error(predict_brain_age(fused(params.frozen()), params.branch2), record.age)
-    prior = AgingPriorParams()
-    stage3 = total_loss(fused(params), record.age, record.label, params.branch1, params.branch2, prior).node
-    return graph_nodes(stage1), graph_nodes(stage2), graph_nodes(stage3)
+    def counted_backward(root, seed=1.0):
+        counts.append(graph_nodes(root))
+        engine(root, seed)
+
+    with mock.patch.object(ad, "backward", counted_backward):
+        for stage in (1, 2, 3):
+            train_stage(stage, cohort, synth_atlas.atlas, synth_atlas.table, AgingPriorParams(), config, params)
+    return tuple(counts)
 
 
 def param_tensors(*parts) -> list[Tensor]:

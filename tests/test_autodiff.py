@@ -128,7 +128,7 @@ class TestConv:
     def test_no_grad_scratch_is_bounded(self):
         for edge in range(4, 16):
             ad.conv3d_down(*conv_inputs((1, 2, edge, edge), GRAD_FLAGS["no-grad"])[1])
-        assert ad._local.scratch.cache_info().currsize <= 8
+        assert ad._kept_scratch.cache_info().currsize <= 8
 
     @pytest.mark.parametrize("shape", CONV_CASES, ids=lambda s: "x".join(map(str, s)))
     def test_conv_relu_equals_relu_of_conv(self, shape):
@@ -189,12 +189,16 @@ class TestConv:
         for edge in range(4, 16):
             for flags in (GRAD_FLAGS["no-grad"], GRAD_FLAGS["w-grad"]):
                 ad.conv3d_down(*conv_inputs((1, 2, edge, edge), flags)[1])
-        assert ad._local.scratch.cache_info().currsize <= 8
-        assert ad._kept_scratch(1, 2, 15, 15, False)[2] is None  # a grad-path entry holds no column buffer
+        assert ad._kept_scratch.cache_info().currsize <= 8
+        # a grad-path entry holds no column buffer
+        assert ad._kept_scratch(threading.get_ident(), 1, 2, 15, 15, False)[2] is None
 
     def test_threads_never_share_a_slab(self):
-        slabs = [ad._kept_scratch(2, 3, 4, 6, False)[0]]
-        worker = threading.Thread(target=lambda: slabs.append(ad._kept_scratch(2, 3, 4, 6, False)[0]))
+        def slab():
+            return ad._kept_scratch(threading.get_ident(), 2, 3, 4, 6, False)[0]
+
+        slabs = [slab()]
+        worker = threading.Thread(target=lambda: slabs.append(slab()))
         worker.start()
         worker.join(timeout=10)
         assert not worker.is_alive() and len(slabs) == 2

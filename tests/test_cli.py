@@ -1014,12 +1014,18 @@ def test_data_by_flags_or_file_in_any_directory_writes_the_same_model(tmp_path, 
          "no atlas given (flag --atlas or config data.atlas_path)"),
         (["evaluate"], "evaluate needs --predictions or --checkpoint with cohort data"),
         (["report"], "report needs --predictions (or use --dump-config alone)"),
+        (["report", "--out-roc", "roc.csv"], "report --out-roc needs --predictions"),
+        (["report", "--dump-config", "--predictions", "pd-only.csv", "--out-roc", "roc.csv"],
+         "ROC needs at least one positive and one negative"),
     ],
-    ids=["no-atlas", "evaluate-without-source", "report-without-predictions"],
+    ids=["no-atlas", "evaluate-without-source", "report-without-predictions", "roc-without-predictions",
+         "dump-config-with-one-class-roc"],
 )  # fmt: skip
 def test_documented_refusal(tmp_path, monkeypatch, capsys, argv, message):
+    """A refused command names its reason on stderr, and prints nothing on stdout and writes nothing."""
     monkeypatch.chdir(tmp_path)
     write_manifest(Cohort([SubjectRecord("s1", 60.0)]), tmp_path / "manifest.csv")
+    write_predictions([PredictionRecord("s1", Label.PD, 0.9, 1.0, 61.0, Label.PD)], tmp_path / "pd-only.csv")
     assert run_cli(*argv) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.csv"]
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.csv", "pd-only.csv"]

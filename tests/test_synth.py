@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from pddiag.aggregator import region_average_pool
 from pddiag.cohort import Cohort, SubjectRecord, read_manifest
 from pddiag.diagnoser import Label
-from pddiag.priors import RelevanceClass
+from pddiag.priors import AgingPriorParams, RelevanceClass
 from pddiag.synth import (
     SynthAtlas,
     SynthConfig,
@@ -199,9 +199,10 @@ class TestGeneration:
     def test_separability_monotone_in_acceleration(self):
         sa = make_synth_atlas((16, 16, 16), 48)
         rng = np.random.default_rng(0)
+        hinge_gap = AgingPriorParams.zeta - AgingPriorParams.tau  # SynthConfig warns at or below it
         seps = []
         for accel in (4.0, 8.0, 16.0):
-            with pytest.warns(UserWarning) if accel <= 5.0 else _nullcontext():
+            with pytest.warns(UserWarning) if accel <= hinge_gap else _nullcontext():
                 cfg = SynthConfig(n_subjects=1, dims=(16, 16, 16), noise_std=0.0, acceleration=accel)
             pd_pool = region_average_pool(synth_volume(sa, 65.0, True, cfg, rng), sa.atlas)
             ot_pool = region_average_pool(synth_volume(sa, 65.0, False, cfg, rng), sa.atlas)
