@@ -1,12 +1,12 @@
 """Relevance-guided feature aggregation.
 
-Pipeline: a small two-block 3-D encoder downsamples the volume by 4x,
-per-region average pooling reduces the same volume to one value per atlas
-region, the relevance weights collapse those into a weighted (mean, std)
-pair, and a learned 2->C projection broadcasts that pair back over the
-encoder grid and adds it in. The encoder is two ``conv_relu`` graph nodes and
-the fusion is one node over (dense, projection weight, projection bias) with
-its backward written out in ``upsample_fuse``.
+Pipeline: a small two-block 3-D encoder downsamples the volume, a (D, H, W)
+float64 array, by 4x, per-region average pooling reduces the same volume to
+one value per atlas region, the relevance weights collapse those into a
+weighted (mean, std) pair, and a learned 2->C projection broadcasts that pair
+back over the encoder grid and adds it in. The encoder is two ``conv_relu``
+graph nodes and the fusion is one node over (dense, projection weight,
+projection bias) with its backward written out in ``upsample_fuse``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .priors import RelevanceTable
-from .volume_io import AtlasVolume, DimMismatch, Volume3D
+from .volume_io import AtlasVolume, DimMismatch
 
 
 class IndivisibleDims(ValueError):
@@ -93,28 +93,20 @@ class FusionProjection:
         return self.weight.data.shape[0]
 
 
-def _volume_array(volume) -> np.ndarray:
-    if isinstance(volume, Volume3D):
-        return volume.data
-    return np.asarray(volume, dtype=np.float64)
-
-
-def encode_dense(volume, params: EncoderParams) -> Tensor:
+def encode_dense(volume: np.ndarray, params: EncoderParams) -> Tensor:
     """Encode a (D, H, W) volume to a (C, D/4, H/4, W/4) feature tensor; dims must divide by 4."""
-    arr = _volume_array(volume)
-    if any(d % 4 for d in arr.shape):
-        raise IndivisibleDims(f"volume dims {arr.shape} must be divisible by 4")
-    x = ad.constant(arr[None, :, :, :])
+    if any(d % 4 for d in volume.shape):
+        raise IndivisibleDims(f"volume dims {volume.shape} must be divisible by 4")
+    x = ad.constant(volume[None, :, :, :])
     h1 = ad.conv_relu(x, params.conv1_w, params.conv1_b)
     return ad.conv_relu(h1, params.conv2_w, params.conv2_b)
 
 
-def region_average_pool(volume, atlas: AtlasVolume) -> np.ndarray:
-    """(R,) mean intensity over each region's voxel set, regions 1..R."""
-    arr = _volume_array(volume)
-    if arr.shape != atlas.dims:
-        raise DimMismatch(f"volume dims {arr.shape} != atlas dims {atlas.dims}")
-    sums = np.bincount(atlas.labels.ravel(), weights=arr.ravel(), minlength=atlas.region_count + 1)
+def region_average_pool(volume: np.ndarray, atlas: AtlasVolume) -> np.ndarray:
+    """(R,) mean intensity over each region's voxel set of the (D, H, W) volume, regions 1..R."""
+    if volume.shape != atlas.dims:
+        raise DimMismatch(f"volume dims {volume.shape} != atlas dims {atlas.dims}")
+    sums = np.bincount(atlas.labels.ravel(), weights=volume.ravel(), minlength=atlas.region_count + 1)
     # region_sizes > 0 is an AtlasVolume invariant
     return sums[1:] / atlas.region_sizes
 

@@ -1,7 +1,8 @@
 """Subject records, cohorts, and the cohort manifest CSV; a record read from a manifest holds a path, not a volume.
 
-A ``Cohort`` is a list of ``SubjectRecord``s that can say whether every
-subject is labeled and take a subset by index.
+A record's volume is its (D, H, W) float64 array. A ``Cohort`` is a list of
+``SubjectRecord``s that can say whether every subject is labeled and take a
+subset by index.
 """
 
 from __future__ import annotations
@@ -10,9 +11,11 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .csvtable import read_rows, write_rows
 from .diagnoser import Label
-from .volume_io import Volume3D, read_volume
+from .volume_io import read_volume
 
 
 @dataclass
@@ -21,7 +24,7 @@ class SubjectRecord:
     age: float
     label: Label | None = None  # None for unlabeled (prediction-only) subjects
     is_healthy: bool = False
-    volume: Volume3D | None = None
+    volume: np.ndarray | None = None  # (D, H, W) float64
     path: str | None = None
 
     def __post_init__(self):
@@ -30,7 +33,7 @@ class SubjectRecord:
         if self.is_healthy and self.label is not Label.OTHER:
             raise ValueError(f"{self.subject_id}: is_healthy requires label 'other'")
 
-    def load_volume(self) -> Volume3D:
+    def load_volume(self) -> np.ndarray:
         """The in-memory volume, else a fresh read of ``path`` that the record does not keep."""
         if self.volume is not None:
             return self.volume

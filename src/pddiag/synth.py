@@ -22,7 +22,7 @@ from .forkmap import map_chunks, worker_count
 from .priors import (
     AgingPriorParams, RegionEntry, RelevanceClass, RelevanceTable, default_relevance_table, save_relevance_table
 )
-from .volume_io import AtlasVolume, Volume3D, write_atlas, write_volume
+from .volume_io import AtlasVolume, write_atlas, write_volume
 
 # Margin the default aging prior expects between the PD and non-PD hinge zones.
 _DEFAULT_HINGE_GAP = AgingPriorParams.zeta - AgingPriorParams.tau
@@ -135,14 +135,14 @@ def synth_volume(
     is_pd: bool,
     cfg: SynthConfig,
     rng: np.random.Generator,
-) -> Volume3D:
-    """Region values painted over the atlas (background label 0 reads 0.0), plus Gaussian noise."""
+) -> np.ndarray:
+    """The (D, H, W) volume: region values over the atlas (background label 0 reads 0.0) plus Gaussian noise."""
     eff = effective_region_ages(age, is_pd, synth_atlas.table, cfg.acceleration)
     region_value = cfg.baseline + cfg.signal_gain * eff
     data = np.concatenate(([0.0], region_value))[synth_atlas.atlas.labels]
     if cfg.noise_std > 0:
         data += rng.normal(0.0, cfg.noise_std, size=data.shape)
-    return Volume3D.from_array(data)
+    return data
 
 
 def synth_subject(cfg: SynthConfig, synth_atlas: SynthAtlas, i: int) -> SubjectRecord:
@@ -219,6 +219,8 @@ def write_cohort(cfg: SynthConfig, out) -> None:
 
 def split_cohort(cohort: Cohort, folds: int, seed: int) -> list[tuple[list[int], list[int]]]:
     """Label-stratified k-fold index split; disjoint test folds covering the cohort."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
     if len(cohort) < folds:

@@ -242,6 +242,8 @@ class TrainConfig:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -261,7 +263,7 @@ class _Prepared:
 
 def _prepare_one(rec: SubjectRecord, atlas: AtlasVolume, table: RelevanceTable) -> _Prepared:
     vol = rec.load_volume()
-    return _Prepared(record=rec, array=vol.data, agg=weighted_aggregate(region_average_pool(vol, atlas), table))
+    return _Prepared(record=rec, array=vol, agg=weighted_aggregate(region_average_pool(vol, atlas), table))
 
 
 def _fused(prep: _Prepared, model: ModelParams) -> Tensor:

@@ -8,7 +8,9 @@ loudly. Normative header offsets: 0 (sizeof_hdr), 40 (dim), 70 (datatype),
 Axis convention: a volume has dims (D, H, W) with W the fastest-varying axis
 in the payload, i.e. ``data[d, h, w]`` as a C-ordered (D, H, W) array stores
 the standard NIfTI x-fastest element sequence with (x, y, z) = (W, H, D).
-All voxel values are widened to float64 on load.
+In memory a volume is that array alone: ``read_volume`` widens every voxel
+to float64 and keeps no header, and ``write_volume`` writes pixdim as 1 mm,
+which no reader here looks at.
 """
 
 from __future__ import annotations
@@ -71,11 +73,12 @@ class DimMismatch(ValueError):
 
 @dataclass(frozen=True)
 class VolumeHeader:
+    """The header fields a reader uses; a writer builds one to refuse bad dims or datatype."""
+
     dims: tuple[int, int, int]
     datatype_code: int = DTYPE_FLOAT32
     vox_offset: int = 352
     endianness: str = "little"
-    voxel_size: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
         if any(int(d) < 1 for d in self.dims):
@@ -89,33 +92,9 @@ class VolumeHeader:
 
 
 @dataclass
-class Volume3D:
-    header: VolumeHeader
-    data: np.ndarray  # (D, H, W) float64, C order
-
-    def __post_init__(self):
-        self.data = np.ascontiguousarray(self.data, dtype=np.float64)
-        if self.data.shape != tuple(self.header.dims):
-            raise ValueError(f"data shape {self.data.shape} != header dims {self.header.dims}")
-        # min and max propagate NaN and +-inf, so this needs no voxel-sized
-        # mask; the header's dims >= 1 keep the array non-empty
-        if not (np.isfinite(self.data.min()) and np.isfinite(self.data.max())):
-            raise NonFiniteData("volume contains NaN or Inf")
-
-    @classmethod
-    def from_array(cls, data: np.ndarray, voxel_size=(1.0, 1.0, 1.0), datatype_code=DTYPE_FLOAT32) -> "Volume3D":
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 3:
-            raise ValueError(f"expected a 3-D array, got ndim={data.ndim}")
-        hdr = VolumeHeader(dims=data.shape, datatype_code=datatype_code, voxel_size=tuple(voxel_size))
-        return cls(header=hdr, data=data)
-
-
-@dataclass
 class AtlasVolume:
     labels: np.ndarray  # (D, H, W) integer labels in [0, region_count]
     region_count: int
-    voxel_size: tuple[float, float, float] = field(default=(1.0, 1.0, 1.0))
     # (R,) voxels in each of regions 1..R, read-only; set from labels
     region_sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -161,7 +140,6 @@ def parse_header(buf: bytes) -> VolumeHeader:
     datatype = struct.unpack_from(end + "h", buf, 70)[0]
     # x (dim[1]) is fastest in the payload; map (x, y, z) -> (W, H, D)
     dims = (int(dim[3]), int(dim[2]), int(dim[1]))
-    pixdim = struct.unpack_from(end + "8f", buf, 76)
     vox_offset_f = struct.unpack_from(end + "f", buf, 108)[0]
     if not math.isfinite(vox_offset_f):
         raise NiftiFormatError(f"vox_offset {vox_offset_f} is not finite")
@@ -174,7 +152,6 @@ def parse_header(buf: bytes) -> VolumeHeader:
         datatype_code=int(datatype),
         vox_offset=int(round(vox_offset_f)),
         endianness=endianness,
-        voxel_size=(float(pixdim[1]), float(pixdim[2]), float(pixdim[3])),
     )
 
 
@@ -186,8 +163,7 @@ def _build_header_bytes(header: VolumeHeader) -> bytes:
     struct.pack_into("<8h", buf, 40, 3, w, h, d, 1, 1, 1, 1)
     struct.pack_into("<h", buf, 70, header.datatype_code)
     struct.pack_into("<h", buf, 72, bitpix)
-    dx, dy, dz = header.voxel_size
-    struct.pack_into("<8f", buf, 76, 1.0, dx, dy, dz, 0.0, 0.0, 0.0, 0.0)
+    struct.pack_into("<8f", buf, 76, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
     struct.pack_into("<f", buf, 108, float(header.vox_offset))
     buf[344:348] = MAGIC
     return bytes(buf)
@@ -227,27 +203,31 @@ def _read_payload(fh, path, header: VolumeHeader, out_dtype) -> np.ndarray:
     return out.reshape(d, h, w)
 
 
-def read_volume(path) -> Volume3D:
-    """Load a volume; integer payloads convert exactly, float32 widens to float64."""
+def read_volume(path) -> np.ndarray:
+    """Load a volume as a (D, H, W) float64 array; integer payloads convert exactly, float32 widens."""
     with open(path, "rb") as fh:
         header = parse_header(fh.read(HEADER_SIZE))
         data = _read_payload(fh, path, header, np.float64)
-    try:
-        return Volume3D(header=header, data=data)
-    except NonFiniteData as exc:
-        raise NonFiniteData(f"{path}: {exc}") from None
+    # min and max propagate NaN and +-inf, so this needs no voxel-sized
+    # mask; the header's dims >= 1 keep the array non-empty
+    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        raise NonFiniteData(f"{path}: volume contains NaN or Inf")
+    return data
 
 
-def write_volume(volume: Volume3D, path) -> None:
-    """Write little-endian header + zero padding to vox_offset + payload, in the header's datatype.
+def write_volume(data: np.ndarray, path, datatype_code: int = DTYPE_FLOAT32) -> None:
+    """Write a (D, H, W) array: little-endian header, zero padding to vox_offset, payload in ``datatype_code``.
 
-    NaN, Inf and values the datatype cannot hold are refused before the file is opened.
+    A non-3-D array, an unsupported datatype, NaN, Inf and values the
+    datatype cannot hold are refused before the file is opened.
     """
-    header = volume.header
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 3:
+        raise ValueError(f"expected a 3-D array, got ndim={data.ndim}")
+    header = VolumeHeader(dims=data.shape, datatype_code=datatype_code)
     code = header.datatype_code
     dtype_char, _ = SUPPORTED_DATATYPES[code]
-    data = volume.data
-    lo, hi = data.min(), data.max()  # NaN and +-inf propagate, see Volume3D
+    lo, hi = data.min(), data.max()  # NaN and +-inf propagate, see read_volume
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise NonFiniteData(f"{path}: volume contains NaN or Inf")
     if code in (DTYPE_UINT8, DTYPE_INT16):
@@ -272,10 +252,8 @@ def read_atlas(path, region_count: int) -> AtlasVolume:
         if header.datatype_code not in (DTYPE_UINT8, DTYPE_INT16):
             raise UnsupportedDatatype(f"atlas requires an integer datatype, file has code {header.datatype_code}")
         labels = _read_payload(fh, path, header, np.int64)
-    return AtlasVolume(labels=labels, region_count=int(region_count), voxel_size=header.voxel_size)
+    return AtlasVolume(labels=labels, region_count=int(region_count))
 
 
 def write_atlas(atlas: AtlasVolume, path) -> None:
-    code = DTYPE_UINT8 if atlas.region_count <= 255 else DTYPE_INT16
-    vol = Volume3D.from_array(atlas.labels.astype(np.float64), voxel_size=atlas.voxel_size, datatype_code=code)
-    write_volume(vol, path)
+    write_volume(atlas.labels, path, datatype_code=DTYPE_UINT8 if atlas.region_count <= 255 else DTYPE_INT16)

@@ -15,7 +15,7 @@ from pddiag.aggregator import (
     weighted_aggregate,
 )
 from pddiag.priors import RegionEntry, RelevanceClass, RelevanceTable
-from pddiag.volume_io import AtlasVolume, DimMismatch, Volume3D
+from pddiag.volume_io import AtlasVolume, DimMismatch, read_volume, write_volume
 
 
 def random_atlas(rng, dims, regions):
@@ -44,10 +44,10 @@ class TestEncodeDense:
         with pytest.raises(IndivisibleDims):
             encode_dense(np.zeros((30, 32, 32)), params)
 
-    def test_accepts_volume3d(self):
+    def test_accepts_a_read_volume(self, tmp_path):
         params = EncoderParams.init(4, np.random.default_rng(3))
-        vol = Volume3D.from_array(np.ones((8, 8, 8)))
-        assert encode_dense(vol, params).data.shape == (4, 2, 2, 2)
+        write_volume(np.ones((8, 8, 8)), tmp_path / "v.nii")
+        assert encode_dense(read_volume(tmp_path / "v.nii"), params).data.shape == (4, 2, 2, 2)
 
     def test_gradient_check(self):
         rng = np.random.default_rng(4)

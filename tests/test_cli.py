@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -371,6 +372,23 @@ class TestPredictEvaluateReport:
         assert f"array {name} holds NaN or Inf" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_volume_writes_no_predictions(self, tmp_path, mini_run, capsys, split_into, workers):
+        cohort = read_manifest(mini_run["data"] / "manifest.csv").subset(range(2))
+        raw = bytearray(Path(cohort[1].path).read_bytes())
+        raw[-4:] = np.array(np.nan, dtype="<f4").tobytes()  # the last voxel of the float32 payload
+        bad = tmp_path / "nan.nii"
+        bad.write_bytes(bytes(raw))
+        cohort[1].path = str(bad)
+        manifest = tmp_path / "m.csv"
+        write_manifest(cohort, manifest)
+        split_into(workers)
+        out = tmp_path / "pred.csv"
+        common = [*mini_run["common"][2:], "--manifest", manifest]
+        assert run_cli("predict", "--checkpoint", mini_run["out"] / "stage3.ckpt", "--out", out, *common) == 1
+        assert capsys.readouterr() == ("", f"error: {bad}: volume contains NaN or Inf\n")
+        assert not out.exists()
+
     def test_predictions_parse(self, mini_run):
         records = read_predictions(mini_run["pred"])
         assert len(records) == 16
@@ -677,7 +695,7 @@ class TestPreprocessCommand:
         raw = read_manifest(tmp_path / "data" / "manifest.csv")
         assert [s.subject_id for s in processed] == [s.subject_id for s in raw]
         for got, want in zip(processed, raw):
-            assert got.load_volume().data.tobytes() == want.load_volume().data.tobytes()
+            assert got.load_volume().tobytes() == want.load_volume().tobytes()
 
 
 @pytest.mark.parametrize("command", ["predict", "evaluate", "report", "preprocess"])
@@ -1017,9 +1035,11 @@ def test_data_by_flags_or_file_in_any_directory_writes_the_same_model(tmp_path, 
         (["report", "--out-roc", "roc.csv"], "report --out-roc needs --predictions"),
         (["report", "--dump-config", "--predictions", "pd-only.csv", "--out-roc", "roc.csv"],
          "ROC needs at least one positive and one negative"),
+        (["split", "--manifest", "manifest.csv", "--seed", "-1", "--out-dir", "folds"], "seed must be >= 0, got -1"),
+        (["train", "--stage", "1", "--out-dir", "out", "--seed", "-1"], "seed must be >= 0, got -1"),
     ],
     ids=["no-atlas", "evaluate-without-source", "report-without-predictions", "roc-without-predictions",
-         "dump-config-with-one-class-roc"],
+         "dump-config-with-one-class-roc", "split-negative-seed", "train-negative-seed"],
 )  # fmt: skip
 def test_documented_refusal(tmp_path, monkeypatch, capsys, argv, message):
     """A refused command names its reason on stderr, and prints nothing on stdout and writes nothing."""

@@ -47,7 +47,7 @@ def unused_imports(source: str) -> list[str]:
                 bound[alias.asname or alias.name] = node.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in ast.walk(tree):
-        # "Volume3D" as an annotation, or names re-exported through __all__
+        # "ModelParams" as an annotation, or names re-exported through __all__
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
             read.add(node.value)
     return sorted(f"line {line}: {name}" for name, line in bound.items() if name not in read)

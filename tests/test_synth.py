@@ -106,12 +106,12 @@ class TestGeneration:
         for sa, sb in zip(a, b):
             assert sa.age == sb.age
             assert sa.label == sb.label
-            assert sa.volume.data.tobytes() == sb.volume.data.tobytes()
+            assert sa.volume.tobytes() == sb.volume.tobytes()
 
     def test_different_seed_differs(self):
         a, _ = generate_cohort(SynthConfig(n_subjects=2, dims=(8, 8, 8), seed=5))
         b, _ = generate_cohort(SynthConfig(n_subjects=2, dims=(8, 8, 8), seed=6))
-        assert a[0].volume.data.tobytes() != b[0].volume.data.tobytes()
+        assert a[0].volume.tobytes() != b[0].volume.tobytes()
 
     def test_empty_cohort_valid_atlas(self):
         cohort, sa = generate_cohort(SynthConfig(n_subjects=0, dims=(8, 8, 8)))
@@ -128,7 +128,7 @@ class TestGeneration:
         ]
         # volumes are stored as float32
         for a, b in zip(written, cohort):
-            assert a.load_volume().data.tobytes() == b.volume.data.astype(np.float32).astype(np.float64).tobytes()
+            assert a.load_volume().tobytes() == b.volume.astype(np.float32).astype(np.float64).tobytes()
         assert np.array_equal(read_atlas(tmp_path / "atlas.nii", region_count=cfg.region_count).labels, sa.atlas.labels)
 
     @settings(max_examples=40, deadline=None)
@@ -149,7 +149,7 @@ class TestGeneration:
         indices = data.draw(st.lists(st.sampled_from(range(n)), unique=True) if n else st.just([]))
 
         def bits(s):
-            return s.subject_id, s.age.hex(), s.label, s.is_healthy, s.volume.data.dtype, s.volume.data.tobytes()
+            return s.subject_id, s.age.hex(), s.label, s.is_healthy, s.volume.dtype, s.volume.tobytes()
 
         for i in indices:
             assert bits(synth_subject(cfg, sa, i)) == bits(generated[i])
@@ -161,8 +161,8 @@ class TestGeneration:
         labels[0, 0, 0] = 0
         sa = SynthAtlas(AtlasVolume(labels, cfg.region_count), sa.table)
         vol = synth_volume(sa, age=60.0, is_pd=False, cfg=cfg, rng=np.random.default_rng(0))
-        assert vol.data[0, 0, 0] == 0.0
-        assert vol.data[0, 0, 1] == cfg.baseline + cfg.signal_gain * 60.0
+        assert vol[0, 0, 0] == 0.0
+        assert vol[0, 0, 1] == cfg.baseline + cfg.signal_gain * 60.0
 
     def test_label_and_healthy_bookkeeping(self):
         cohort, _ = generate_cohort(SynthConfig(n_subjects=10, dims=(8, 8, 8), pd_fraction=0.4, healthy_fraction=0.5))

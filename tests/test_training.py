@@ -24,7 +24,7 @@ from pddiag.diagnoser import Label, decide, squared_error, total_loss
 from pddiag.forkmap import usable_cpus
 from pddiag.priors import AgingPriorParams, load_relevance_table
 from pddiag.synth import SynthConfig, generate_cohort
-from pddiag.volume_io import NiftiFormatError, TruncatedData, TruncatedHeader, Volume3D, read_atlas
+from pddiag.volume_io import NiftiFormatError, TruncatedData, TruncatedHeader, read_atlas
 
 
 @pytest.fixture(scope="module")
@@ -477,7 +477,7 @@ class TestTrainConfig:
         [
             ("epochs", 0), ("epochs", -1), ("batch", 0), ("batch", -4),
             ("lr", 0.0), ("lr", -1e-3), ("lr", math.nan), ("lr", math.inf),
-            ("weight_decay", -1e-3), ("weight_decay", math.nan), ("weight_decay", math.inf),
+            ("weight_decay", -1e-3), ("weight_decay", math.nan), ("weight_decay", math.inf), ("seed", -1),
         ],
     )  # fmt: skip
     def test_bad_setting_is_named(self, setting, value):
@@ -518,7 +518,7 @@ class TestTrainStage:
                 age=65.0,
                 label=Label.OTHER,
                 is_healthy=True,
-                volume=Volume3D.from_array(np.random.default_rng(i).normal(1.0, 0.1, (16, 16, 16))),
+                volume=np.random.default_rng(i).normal(1.0, 0.1, (16, 16, 16)),
             )
             for i in range(4)
         ]

@@ -51,7 +51,6 @@ class TestParseHeader:
         assert be.dims == le.dims
         assert be.datatype_code == le.datatype_code
         assert be.vox_offset == le.vox_offset
-        assert be.voxel_size == le.voxel_size
 
     def test_axis_mapping_x_is_w(self):
         # dim[1]=10 (x, fastest) / dim[2]=12 / dim[3]=14 -> (D, H, W) = (14, 12, 10)
@@ -79,10 +78,6 @@ class TestParseHeader:
         struct.pack_into("<i", buf, 0, 999)
         with pytest.raises(vio.NiftiFormatError):
             vio.parse_header(bytes(buf))
-
-    def test_voxel_size_read(self):
-        hdr = vio.parse_header(build_header_bytes(pixdim=(2.0, 3.0, 4.0)))
-        assert hdr.voxel_size == (2.0, 3.0, 4.0)
 
     @pytest.mark.parametrize("vox_offset", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_vox_offset(self, vox_offset):
@@ -148,21 +143,22 @@ class TestReadWrite:
     def test_float32_round_trip_bits(self, tmp_path):
         rng = np.random.default_rng(42)
         data = rng.standard_normal((8, 8, 8)).astype(np.float32).astype(np.float64)
-        vol = vio.Volume3D.from_array(data)
         path = tmp_path / "v.nii"
-        vio.write_volume(vol, path)
+        vio.write_volume(data, path)
+        hdr = vio.parse_header(path.read_bytes()[:348])
+        assert hdr.dims == (8, 8, 8)
+        assert hdr.datatype_code == vio.DTYPE_FLOAT32
         back = vio.read_volume(path)
-        assert back.header.dims == vol.header.dims
-        assert back.header.datatype_code == vol.header.datatype_code
-        assert back.data.astype("<f4").tobytes() == vol.data.astype("<f4").tobytes()
-        assert (back.data == vol.data).all()
+        assert back.dtype == np.float64 and back.shape == (8, 8, 8)
+        assert back.astype("<f4").tobytes() == data.astype("<f4").tobytes()
+        assert (back == data).all()
 
     @pytest.mark.parametrize(
         "read", [vio.read_volume, functools.partial(vio.read_atlas, region_count=1)], ids=["read_volume", "read_atlas"]
     )
     def test_a_read_opens_its_file_once(self, tmp_path, monkeypatch, read):
         path = tmp_path / "v.nii"
-        vio.write_volume(vio.Volume3D.from_array(np.ones((4, 4, 4)), datatype_code=vio.DTYPE_UINT8), path)
+        vio.write_volume(np.ones((4, 4, 4)), path, datatype_code=vio.DTYPE_UINT8)
         opened = []
         monkeypatch.setattr(vio, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k), raising=False)
         read(path)
@@ -172,65 +168,57 @@ class TestReadWrite:
         # expected values regenerated from the fixture's recorded seed
         seed = 20240917
         data = np.random.default_rng(seed).standard_normal((8, 8, 8)).astype(np.float32)
-        vol = vio.Volume3D.from_array(data.astype(np.float64))
-        vio.write_volume(vol, tmp_path / "v.nii")
+        vio.write_volume(data.astype(np.float64), tmp_path / "v.nii")
         back = vio.read_volume(tmp_path / "v.nii")
         expected = np.random.default_rng(seed).standard_normal((8, 8, 8)).astype(np.float32).astype(np.float64)
-        assert (back.data == expected).all()
+        assert (back == expected).all()
 
     def test_uint8_exact(self, tmp_path):
-        vol = vio.Volume3D.from_array(np.full((4, 4, 4), 255.0), datatype_code=vio.DTYPE_UINT8)
-        vio.write_volume(vol, tmp_path / "u8.nii")
+        vio.write_volume(np.full((4, 4, 4), 255.0), tmp_path / "u8.nii", datatype_code=vio.DTYPE_UINT8)
         back = vio.read_volume(tmp_path / "u8.nii")
-        assert (back.data == 255.0).all()
-        assert back.header.datatype_code == vio.DTYPE_UINT8
+        assert (back == 255.0).all()
+        assert vio.parse_header((tmp_path / "u8.nii").read_bytes()[:348]).datatype_code == vio.DTYPE_UINT8
 
     def test_int16_exact(self, tmp_path):
         rng = np.random.default_rng(3)
         data = rng.integers(-32768, 32768, size=(5, 4, 8)).astype(np.float64)
-        vol = vio.Volume3D.from_array(data, datatype_code=vio.DTYPE_INT16)
-        vio.write_volume(vol, tmp_path / "i16.nii")
-        assert (vio.read_volume(tmp_path / "i16.nii").data == data).all()
+        vio.write_volume(data, tmp_path / "i16.nii", datatype_code=vio.DTYPE_INT16)
+        assert (vio.read_volume(tmp_path / "i16.nii") == data).all()
 
     def test_value_out_of_range_uint8(self, tmp_path):
-        vol = vio.Volume3D.from_array(np.full((2, 2, 4), 300.0), datatype_code=vio.DTYPE_UINT8)
         with pytest.raises(vio.ValueOutOfRange):
-            vio.write_volume(vol, tmp_path / "x.nii")
+            vio.write_volume(np.full((2, 2, 4), 300.0), tmp_path / "x.nii", datatype_code=vio.DTYPE_UINT8)
 
     @pytest.mark.parametrize("value", [4e38, -4e38])
     def test_float32_overflow_rejected_either_sign(self, tmp_path, value):
         data = np.zeros((2, 2, 4))
         data[1, 1, 3] = value
         with pytest.raises(vio.ValueOutOfRange, match="float32"):
-            vio.write_volume(vio.Volume3D.from_array(data, datatype_code=vio.DTYPE_FLOAT32), tmp_path / "x.nii")
+            vio.write_volume(data, tmp_path / "x.nii", datatype_code=vio.DTYPE_FLOAT32)
         assert not (tmp_path / "x.nii").exists()
 
     @pytest.mark.parametrize("code", [vio.DTYPE_UINT8, vio.DTYPE_INT16, vio.DTYPE_FLOAT32])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_voxel_refused_on_write(self, tmp_path, bad, code):
-        # Volume3D checks its data when built; this one is changed afterwards
-        vol = vio.Volume3D.from_array(np.zeros((2, 2, 4)), datatype_code=code)
-        vol.data[1, 0, 2] = bad
+        data = np.zeros((2, 2, 4))
+        data[1, 0, 2] = bad
         with pytest.raises(vio.NonFiniteData, match="x.nii"):
-            vio.write_volume(vol, tmp_path / "x.nii")
+            vio.write_volume(data, tmp_path / "x.nii", datatype_code=code)
         assert list(tmp_path.iterdir()) == []
 
     def test_non_integral_rejected_for_int_target(self, tmp_path):
-        vol = vio.Volume3D.from_array(np.full((2, 2, 4), 1.5), datatype_code=vio.DTYPE_UINT8)
         with pytest.raises(vio.ValueOutOfRange):
-            vio.write_volume(vol, tmp_path / "x.nii")
+            vio.write_volume(np.full((2, 2, 4), 1.5), tmp_path / "x.nii", datatype_code=vio.DTYPE_UINT8)
 
     def test_file_size_arithmetic(self, tmp_path):
-        vol = vio.Volume3D.from_array(np.zeros((4, 4, 4)))
         path = tmp_path / "z.nii"
-        vio.write_volume(vol, path)
+        vio.write_volume(np.zeros((4, 4, 4)), path)
         # 348 header + 4 pad to 352 + 64 voxels * 4 bytes
         assert path.stat().st_size == 352 + 64 * 4
 
     def test_write_then_parse_header(self, tmp_path):
-        vol = vio.Volume3D.from_array(np.zeros((6, 5, 4)), datatype_code=vio.DTYPE_INT16)
         path = tmp_path / "h.nii"
-        vio.write_volume(vol, path)
+        vio.write_volume(np.zeros((6, 5, 4)), path, datatype_code=vio.DTYPE_INT16)
         hdr = vio.parse_header(path.read_bytes()[:348])
         assert hdr.dims == (6, 5, 4)
         assert hdr.datatype_code == vio.DTYPE_INT16
@@ -240,9 +228,8 @@ class TestReadWrite:
         hdr = build_header_bytes(dims_xyz=(4, 3, 2), byte_order=">")
         path = tmp_path / "be.nii"
         path.write_bytes(hdr + b"\x00" * 4 + data.tobytes())
-        back = vio.read_volume(path)
-        assert back.header.endianness == "big"
-        assert (back.data == np.arange(24).reshape(2, 3, 4)).all()
+        assert vio.parse_header(path.read_bytes()[:348]).endianness == "big"
+        assert (vio.read_volume(path) == np.arange(24).reshape(2, 3, 4)).all()
 
     @pytest.mark.parametrize("byte_order", ["<", ">"])
     @pytest.mark.parametrize("code", [vio.DTYPE_UINT8, vio.DTYPE_INT16, vio.DTYPE_FLOAT32])
@@ -259,20 +246,20 @@ class TestReadWrite:
         path = tmp_path / "chunks.nii"
         header = build_header_bytes(dims_xyz=dims[::-1], datatype=code, byte_order=byte_order)
         path.write_bytes(header + b"\x00" * 4 + payload.tobytes())
-        assert vio.read_volume(path).data.tobytes() == payload.astype(np.float64).tobytes()
+        assert vio.read_volume(path).tobytes() == payload.astype(np.float64).tobytes()
 
     def test_read_peak_holds_no_whole_raw_payload(self, tmp_path):
         # the float64 result takes 2.1 MB; the 1 MB float32 payload beside it
         # made the peak 3.15 MB
         path = tmp_path / "v64.nii"
-        vio.write_volume(vio.Volume3D.from_array(np.ones((64, 64, 64)), datatype_code=vio.DTYPE_FLOAT32), path)
+        vio.write_volume(np.ones((64, 64, 64)), path, datatype_code=vio.DTYPE_FLOAT32)
         tracemalloc.start()
         try:
             vol = vio.read_volume(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (vol.data == 1.0).all()
+        assert (vol == 1.0).all()
         assert peak <= 2.5e6
 
     def test_truncated_payload(self, tmp_path):
@@ -299,8 +286,9 @@ class TestReadWrite:
         path.write_bytes(header + b"\x00" * 4 + payload.tobytes())
         with pytest.raises(vio.NonFiniteData, match="one.nii"):
             vio.read_volume(path)
-        with pytest.raises(vio.NonFiniteData):
-            vio.Volume3D.from_array(payload.astype(np.float64).reshape(2, 3, 4))
+        with pytest.raises(vio.NonFiniteData, match="two.nii"):
+            vio.write_volume(payload.astype(np.float64).reshape(2, 3, 4), tmp_path / "two.nii")
+        assert not (tmp_path / "two.nii").exists()
 
     @pytest.mark.parametrize(
         "read", [vio.read_volume, functools.partial(vio.read_atlas, region_count=1)], ids=["read_volume", "read_atlas"]
@@ -327,18 +315,19 @@ class TestReadWrite:
         path = tmp_path / "off.nii"
         hdr = build_header_bytes(dims_xyz=(2, 2, 2), vox_offset=400.0)
         path.write_bytes(hdr + b"\x00" * (400 - 348) + payload.tobytes())
+        assert vio.parse_header(path.read_bytes()[:348]).vox_offset == 400
         back = vio.read_volume(path)
-        assert back.header.vox_offset == 400
-        assert (back.data.ravel() == np.arange(8)).all()
-        # and the writer reproduces the same layout
+        assert (back.ravel() == np.arange(8)).all()
+        # the writer puts the same voxels at the standard offset
         out = tmp_path / "off2.nii"
         vio.write_volume(back, out)
-        assert out.stat().st_size == 400 + 8 * 4
-        assert (vio.read_volume(out).data == back.data).all()
+        assert out.stat().st_size == 352 + 8 * 4
+        assert vio.parse_header(out.read_bytes()[:348]).vox_offset == 352
+        assert vio.read_volume(out).tobytes() == back.tobytes()
 
     def test_write_failing_partway_leaves_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "v.nii"
-        vio.write_volume(vio.Volume3D.from_array(np.zeros((4, 4, 4))), path)
+        vio.write_volume(np.zeros((4, 4, 4)), path)
         before = path.read_bytes()
 
         class DiskFull:
@@ -361,25 +350,26 @@ class TestReadWrite:
 
         monkeypatch.setattr(vio, "open", lambda *a, **k: DiskFull(open(*a, **k)), raising=False)
         with pytest.raises(OSError, match="No space"):
-            vio.write_volume(vio.Volume3D.from_array(np.ones((4, 4, 4))), path)
+            vio.write_volume(np.ones((4, 4, 4)), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["v.nii"]
 
 
 class TestAtlas:
-    def test_atlas_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("region_count, code", [(3, vio.DTYPE_UINT8), (300, vio.DTYPE_INT16)], ids=["3", "300"])
+    def test_atlas_round_trip(self, tmp_path, region_count, code):
         rng = np.random.default_rng(5)
-        labels = rng.integers(0, 4, size=(6, 6, 6))
-        labels.flat[:3] = [1, 2, 3]  # force every region nonempty
-        atlas = vio.AtlasVolume(labels=labels, region_count=3)
+        labels = rng.integers(0, region_count + 1, size=(8, 8, 8))
+        labels.flat[:region_count] = np.arange(1, region_count + 1)  # force every region nonempty
+        atlas = vio.AtlasVolume(labels=labels, region_count=region_count)
         vio.write_atlas(atlas, tmp_path / "a.nii")
-        back = vio.read_atlas(tmp_path / "a.nii", region_count=3)
+        assert vio.parse_header((tmp_path / "a.nii").read_bytes()[:348]).datatype_code == code
+        back = vio.read_atlas(tmp_path / "a.nii", region_count=region_count)
         assert (back.labels == labels).all()
-        assert back.region_count == 3
+        assert back.region_count == region_count
 
     def test_atlas_rejects_float_datatype(self, tmp_path):
-        vol = vio.Volume3D.from_array(np.ones((4, 4, 4)), datatype_code=vio.DTYPE_FLOAT32)
-        vio.write_volume(vol, tmp_path / "f.nii")
+        vio.write_volume(np.ones((4, 4, 4)), tmp_path / "f.nii", datatype_code=vio.DTYPE_FLOAT32)
         with pytest.raises(vio.UnsupportedDatatype):
             vio.read_atlas(tmp_path / "f.nii", region_count=1)
 
@@ -405,19 +395,22 @@ class TestAtlas:
 @pytest.mark.parametrize(
     "refused, error, message",
     [
-        (lambda: vio.VolumeHeader(dims=(2, 2, 2), endianness="middle"), vio.NiftiFormatError,
+        (lambda _: vio.VolumeHeader(dims=(2, 2, 2), endianness="middle"), vio.NiftiFormatError,
          "endianness must be 'little' or 'big', got 'middle'"),
-        (lambda: vio.Volume3D(header=vio.VolumeHeader(dims=(2, 2, 2)), data=np.zeros((2, 2, 3))), ValueError,
-         "data shape (2, 2, 3) != header dims (2, 2, 2)"),
-        (lambda: vio.Volume3D.from_array(np.zeros((2, 2))), ValueError, "expected a 3-D array, got ndim=2"),
-        (lambda: vio.AtlasVolume(labels=np.ones((2, 2, 2)), region_count=1), ValueError,
+        (lambda out: vio.write_volume(np.zeros((2, 2, 2)), out / "v.nii", datatype_code=64), vio.UnsupportedDatatype,
+         "datatype code 64 not in [2, 4, 16]"),
+        (lambda out: vio.write_volume(np.zeros((2, 2)), out / "v.nii"), ValueError,
+         "expected a 3-D array, got ndim=2"),
+        (lambda _: vio.AtlasVolume(labels=np.ones((2, 2, 2)), region_count=1), ValueError,
          "atlas labels must be integers, got dtype float64"),
-        (lambda: vio.AtlasVolume(labels=np.ones((2, 2), dtype=np.int64), region_count=1), ValueError,
+        (lambda _: vio.AtlasVolume(labels=np.ones((2, 2), dtype=np.int64), region_count=1), ValueError,
          "atlas must be 3-D, got ndim=2"),
     ],
-    ids=["endianness", "data-not-header-dims", "from-2d-array", "float-atlas", "2d-atlas"],
+    ids=["endianness", "write-unsupported-datatype", "from-2d-array", "float-atlas", "2d-atlas"],
 )  # fmt: skip
-def test_documented_refusal(refused, error, message):
+def test_documented_refusal(tmp_path, refused, error, message):
+    """A refusal raises its own error type with this message, and no write leaves a file behind."""
     with pytest.raises(error) as caught:
-        refused()
+        refused(tmp_path)
     assert type(caught.value) is error and str(caught.value) == message
+    assert list(tmp_path.iterdir()) == []
