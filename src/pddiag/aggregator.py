@@ -21,10 +21,6 @@ from .priors import RelevanceTable
 from .volume_io import AtlasVolume, DimMismatch
 
 
-class IndivisibleDims(ValueError):
-    pass
-
-
 class ChannelMismatch(ValueError):
     pass
 
@@ -94,9 +90,7 @@ class FusionProjection:
 
 
 def encode_dense(volume: np.ndarray, params: EncoderParams) -> Tensor:
-    """Encode a (D, H, W) volume to a (C, D/4, H/4, W/4) feature tensor; dims must divide by 4."""
-    if any(d % 4 for d in volume.shape):
-        raise IndivisibleDims(f"volume dims {volume.shape} must be divisible by 4")
+    """Encode a (D, H, W) volume to a (C, ⌈D/4⌉, ⌈H/4⌉, ⌈W/4⌉) feature tensor."""
     x = ad.constant(volume[None, :, :, :])
     h1 = ad.conv_relu(x, params.conv1_w, params.conv1_b)
     return ad.conv_relu(h1, params.conv2_w, params.conv2_b)

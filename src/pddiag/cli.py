@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     _config_flag(p, "synth", "n_subjects", flag="n", help="number of subjects")
     _config_flag(p, "synth", "seed")
-    _config_flag(p, "synth", "dims", help="cube edge length (divisible by 4)")
+    _config_flag(p, "synth", "dims", help="cube edge length")
     for key in ("pd_fraction", "noise_std", "signal_gain"):
         _config_flag(p, "synth", key)
     p.set_defaults(func=cmd_synth)

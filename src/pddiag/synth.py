@@ -52,8 +52,6 @@ class SynthConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_subjects < 0:
             raise ValueError("n_subjects must be >= 0")
-        if any(d % 4 or d < 4 for d in self.dims):
-            raise ValueError(f"dims {self.dims} must all be divisible by 4")
         if not 0.0 <= self.pd_fraction <= 1.0:
             raise ValueError("pd_fraction must lie in [0, 1]")
         if not 0.0 <= self.healthy_fraction <= 1.0:

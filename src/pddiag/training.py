@@ -66,7 +66,7 @@ from .csvtable import write_rows
 from .diagnoser import BranchParams, Label, ce_loss_node, classify, decide, head, predict_brain_age, squared_error, total_loss
 from .forkmap import map_chunks, worker_count
 from .priors import AgingPriorParams, RelevanceTable
-from .volume_io import AtlasVolume
+from .volume_io import AtlasVolume, DimMismatch
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -263,6 +263,8 @@ class _Prepared:
 
 def _prepare_one(rec: SubjectRecord, atlas: AtlasVolume, table: RelevanceTable) -> _Prepared:
     vol = rec.load_volume()
+    if vol.shape != atlas.dims:
+        raise DimMismatch(f"{rec.path or rec.subject_id}: volume dims {vol.shape} != atlas dims {atlas.dims}")
     return _Prepared(record=rec, array=vol, agg=weighted_aggregate(region_average_pool(vol, atlas), table))
 
 

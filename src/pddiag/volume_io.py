@@ -81,8 +81,9 @@ class VolumeHeader:
     endianness: str = "little"
 
     def __post_init__(self):
-        if any(int(d) < 1 for d in self.dims):
-            raise NiftiFormatError(f"all dims must be >= 1, got {self.dims}")
+        # NIfTI-1 stores each dim as an int16
+        if not all(1 <= int(d) <= 32767 for d in self.dims):
+            raise NiftiFormatError(f"all dims must lie in [1, 32767], got {self.dims}")
         if self.datatype_code not in SUPPORTED_DATATYPES:
             raise UnsupportedDatatype(f"datatype code {self.datatype_code} not in {sorted(SUPPORTED_DATATYPES)}")
         if self.vox_offset < HEADER_SIZE:

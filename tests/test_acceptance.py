@@ -157,9 +157,10 @@ def test_criterion_05_gradient_checks():
     agg = AggregatedFeature(0.8, 0.3)
     coeff_dense = rng.standard_normal((4, 2, 2, 2))
     coeff_z = rng.standard_normal(2)
+    odd_vol = rng.standard_normal((7, 9, 5))  # odd, mixed dims: encoded to (4, 2, 3, 2)
 
-    def fused():
-        return upsample_fuse(agg, encode_dense(vol, enc), proj)
+    def fused(volume=vol):
+        return upsample_fuse(agg, encode_dense(volume, enc), proj)
 
     checks = {
         "encode_dense": (
@@ -184,6 +185,10 @@ def test_criterion_05_gradient_checks():
         ),
         "total_loss": (
             lambda: total_loss(fused(), 62.0, Label.PD, b1, b2, PRIOR).node,
+            param_tensors(enc, proj, b1, b2),
+        ),
+        "total_loss_7x9x5": (
+            lambda: total_loss(fused(odd_vol), 62.0, Label.PD, b1, b2, PRIOR).node,
             param_tensors(enc, proj, b1, b2),
         ),
     }

@@ -27,9 +27,12 @@ class TestConfig:
         assert cfg.dims == (32, 32, 32)
         assert cfg.pd_fraction == 0.5
 
-    def test_indivisible_dims_rejected(self):
-        with pytest.raises(ValueError, match="divisible"):
-            SynthConfig(dims=(30, 32, 32))
+    def test_untileable_dims_rejected(self, tmp_path):
+        # the region grid is the one dims rule: 48 blocks need at least 3x4x4 voxels
+        with pytest.raises(ValueError) as caught:
+            write_cohort(SynthConfig(n_subjects=2, dims=(2, 2, 2)), tmp_path / "x")
+        assert str(caught.value) == "cannot tile dims (2, 2, 2) with 48 blocks (3x4x4)"
+        assert not (tmp_path / "x").exists()
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from pddiag.diagnoser import Label, decide, squared_error, total_loss
 from pddiag.forkmap import usable_cpus
 from pddiag.priors import AgingPriorParams, load_relevance_table
 from pddiag.synth import SynthConfig, generate_cohort
-from pddiag.volume_io import NiftiFormatError, TruncatedData, TruncatedHeader, read_atlas
+from pddiag.volume_io import DimMismatch, NiftiFormatError, TruncatedData, TruncatedHeader, read_atlas
 
 
 @pytest.fixture(scope="module")
@@ -843,6 +843,13 @@ def step_with_too_few_params(_):
     tr.adamw_step([p], tr.OptimState.init([p, p], base_lr=0.1, weight_decay=0.0, total_steps=1))
 
 
+def predict_off_grid(_):
+    """Predict one in-memory subject whose volume is not on the atlas grid; the error names its subject_id."""
+    cohort, satlas = generate_cohort(SynthConfig(n_subjects=1, dims=(16, 16, 16)))
+    cohort[0].volume = np.zeros((8, 8, 8))
+    tr.predict(tr.ModelParams.init(4, seed=0), cohort, satlas.atlas, satlas.table, PRIOR)
+
+
 def load_magic_and(extra: int):
     """Load a checkpoint of the magic and ``extra`` zero bytes, written to the given path."""
 
@@ -861,8 +868,10 @@ def load_magic_and(extra: int):
         (load_magic_and(0), tr.CheckpointError, "truncated metadata length"),
         (load_magic_and(1), tr.CheckpointError, "truncated metadata length"),
         (load_magic_and(7), tr.CheckpointError, "truncated metadata length"),
+        (predict_off_grid, DimMismatch, "s0000: volume dims (8, 8, 8) != atlas dims (16, 16, 16)"),
     ],
-    ids=["cosine-no-steps", "optimizer-param-count", "checkpoint-8-bytes", "checkpoint-9-bytes", "checkpoint-15-bytes"],
+    ids=["cosine-no-steps", "optimizer-param-count", "checkpoint-8-bytes", "checkpoint-9-bytes", "checkpoint-15-bytes",
+         "predict-off-grid"],
 )  # fmt: skip
 def test_documented_refusal(tmp_path, refused, error, message):
     with pytest.raises(error) as caught:

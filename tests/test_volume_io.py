@@ -401,12 +401,15 @@ class TestAtlas:
          "datatype code 64 not in [2, 4, 16]"),
         (lambda out: vio.write_volume(np.zeros((2, 2)), out / "v.nii"), ValueError,
          "expected a 3-D array, got ndim=2"),
+        (lambda out: vio.write_volume(np.zeros((1, 1, 40000)), out / "v.nii"), vio.NiftiFormatError,
+         "all dims must lie in [1, 32767], got (1, 1, 40000)"),
         (lambda _: vio.AtlasVolume(labels=np.ones((2, 2, 2)), region_count=1), ValueError,
          "atlas labels must be integers, got dtype float64"),
         (lambda _: vio.AtlasVolume(labels=np.ones((2, 2), dtype=np.int64), region_count=1), ValueError,
          "atlas must be 3-D, got ndim=2"),
     ],
-    ids=["endianness", "write-unsupported-datatype", "from-2d-array", "float-atlas", "2d-atlas"],
+    ids=["endianness", "write-unsupported-datatype", "from-2d-array", "write-int16-overflowing-dim", "float-atlas",
+         "2d-atlas"],
 )  # fmt: skip
 def test_documented_refusal(tmp_path, refused, error, message):
     """A refusal raises its own error type with this message, and no write leaves a file behind."""
